@@ -9,7 +9,7 @@
 
 use paragraph_netlist::Circuit;
 
-use crate::graphbuild::CircuitGraph;
+use crate::graphbuild::{build_graph, CircuitGraph};
 use crate::pipeline::{PreparedCircuit, TargetModel};
 use crate::targets::Target;
 
@@ -183,14 +183,20 @@ impl CapEnsemble {
         self.predict_graph(&pc.circuit, &pc.graph)
     }
 
-    /// Predicts every net's capacitance of a fresh schematic. Each member
-    /// builds and normalises its own graph (members may carry different
-    /// feature normalisations), then Algorithm 2 selects per net.
+    /// Predicts every net's capacitance of a fresh schematic. The graph
+    /// and its message plan are built once; before each member predicts,
+    /// the graph's features are renormalised from the raw rows with that
+    /// member's own `FeatureNorm` (members may carry different feature
+    /// normalisations). Algorithm 2 then selects per net.
     pub fn predict_circuit(&self, circuit: &Circuit) -> Vec<Option<f64>> {
+        let mut cg = build_graph(circuit);
         let per_model: Vec<Vec<Option<f64>>> = self
             .models
             .iter()
-            .map(|m| m.predict_circuit(circuit))
+            .map(|m| {
+                cg.normalize(&m.norm);
+                m.predict_graph(circuit, &cg)
+            })
             .collect();
         (0..circuit.num_nets())
             .map(|net| {
@@ -201,22 +207,32 @@ impl CapEnsemble {
     }
 
     /// [`CapEnsemble::predict_circuit`] with a per-stage wall-clock
-    /// breakdown summed over members, plus how many nets each member's
-    /// prediction won (Algorithm-2 selection counts, ascending `max_v`
-    /// order). Predictions are bitwise identical to the unprofiled
-    /// path.
+    /// breakdown (the one graph build plus every member's
+    /// renormalisation, and every member's forward), plus how many nets
+    /// each member's prediction won (Algorithm-2 selection counts,
+    /// ascending `max_v` order). Predictions are bitwise identical to
+    /// the unprofiled path.
     pub fn predict_circuit_profiled(
         &self,
         circuit: &Circuit,
     ) -> (Vec<Option<f64>>, crate::PredictProfile, Vec<u64>) {
-        let mut profile = crate::PredictProfile::default();
+        let us = |t: std::time::Instant| t.elapsed().as_secs_f64() * 1e6;
+        let start = std::time::Instant::now();
+        let mut cg = build_graph(circuit);
+        let mut profile = crate::PredictProfile {
+            graph_build_us: us(start),
+            inference_us: 0.0,
+        };
         let per_model: Vec<Vec<Option<f64>>> = self
             .models
             .iter()
             .map(|m| {
-                let (preds, p) = m.predict_circuit_profiled(circuit);
-                profile.graph_build_us += p.graph_build_us;
-                profile.inference_us += p.inference_us;
+                let start = std::time::Instant::now();
+                cg.normalize(&m.norm);
+                profile.graph_build_us += us(start);
+                let start = std::time::Instant::now();
+                let preds = m.predict_graph(circuit, &cg);
+                profile.inference_us += us(start);
                 preds
             })
             .collect();
@@ -235,20 +251,27 @@ impl CapEnsemble {
     }
 
     /// Predicts every net's capacitance for several fresh schematics at
-    /// once. Each member runs one forward pass over the circuits'
-    /// block-diagonal [`paragraph_gnn::GraphBatch`] union (via
-    /// [`TargetModel::predict_circuits`]) instead of one pass per
+    /// once. Each circuit's graph is built once and renormalised per
+    /// member, as in [`CapEnsemble::predict_circuit`]; each member runs
+    /// one forward pass over the circuits' block-diagonal
+    /// [`paragraph_gnn::GraphBatch`] union instead of one pass per
     /// circuit; Algorithm 2 then selects per net, per circuit. The result
     /// equals calling [`CapEnsemble::predict_circuit`] on each circuit.
     pub fn predict_circuits(&self, circuits: &[&Circuit]) -> Vec<Vec<Option<f64>>> {
         if circuits.is_empty() {
             return Vec::new();
         }
+        let mut cgs: Vec<CircuitGraph> = circuits.iter().map(|c| build_graph(c)).collect();
         // per_model[m][c][net]
         let per_model: Vec<Vec<Vec<Option<f64>>>> = self
             .models
             .iter()
-            .map(|m| m.predict_circuits(circuits))
+            .map(|m| {
+                for cg in &mut cgs {
+                    cg.normalize(&m.norm);
+                }
+                m.predict_graphs(circuits, &cgs)
+            })
             .collect();
         circuits
             .iter()

@@ -162,9 +162,9 @@ impl CircuitGraph {
             let d = rows[0].len();
             let mut m = Tensor::zeros(rows.len(), d);
             for (i, row) in rows.iter().enumerate() {
-                let mut r = row.clone();
-                norm.apply(t as u16, &mut r);
-                m.row_mut(i).copy_from_slice(&r);
+                let out = m.row_mut(i);
+                out.copy_from_slice(row);
+                norm.apply(t as u16, out);
             }
             self.graph.set_features(t as u16, m);
         }

@@ -614,13 +614,6 @@ impl TargetModel {
     /// splits the results back per circuit — exactly equal to calling
     /// [`TargetModel::predict_circuit`] on each.
     pub fn predict_circuits(&self, circuits: &[&Circuit]) -> Vec<Vec<Option<f64>>> {
-        if circuits.is_empty() {
-            return Vec::new();
-        }
-        if circuits.len() == 1 {
-            return vec![self.predict_circuit(circuits[0])];
-        }
-        let _span = paragraph_obs::span!("predict_circuits", circuits = circuits.len());
         let cgs: Vec<CircuitGraph> = circuits
             .iter()
             .map(|c| {
@@ -629,10 +622,26 @@ impl TargetModel {
                 cg
             })
             .collect();
+        self.predict_graphs(circuits, &cgs)
+    }
+
+    /// [`TargetModel::predict_circuits`] over graphs already built and
+    /// normalised with this model's `norm` (`cgs[i]` is `circuits[i]`'s).
+    pub(crate) fn predict_graphs(
+        &self,
+        circuits: &[&Circuit],
+        cgs: &[CircuitGraph],
+    ) -> Vec<Vec<Option<f64>>> {
+        match circuits {
+            [] => return Vec::new(),
+            [c] => return vec![self.predict_graph(c, &cgs[0])],
+            _ => {}
+        }
+        let _span = paragraph_obs::span!("predict_circuits", circuits = circuits.len());
         let graphs: Vec<&paragraph_gnn::HeteroGraph> = cgs.iter().map(|cg| &cg.graph).collect();
         let per_circuit: Vec<Vec<u32>> = circuits
             .iter()
-            .zip(&cgs)
+            .zip(cgs)
             .map(|(c, cg)| self.query_nodes(c, cg))
             .collect();
         let total: usize = per_circuit.iter().map(Vec::len).sum();
@@ -644,7 +653,7 @@ impl TargetModel {
         let mut off = 0;
         circuits
             .iter()
-            .zip(&cgs)
+            .zip(cgs)
             .zip(per_circuit)
             .map(|((c, cg), nodes)| {
                 let pairs: Vec<(u32, f64)> = nodes

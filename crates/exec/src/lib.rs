@@ -252,50 +252,37 @@ pub struct Arena {
     h2: Vec<f32>,
     agg: Vec<f32>,
     ht: Vec<f32>,
-    hh: Vec<f32>,
-    z: Vec<f32>,
     cat: Vec<f32>,
     sum: Vec<f32>,
     t1: Vec<f32>,
     t2: Vec<f32>,
+    g1: Vec<f32>,
+    g2: Vec<f32>,
+    attn: AttendScratch,
+    /// Quantized-activation scratch for the int8 GEMM path.
+    qa: kernels::Q8Prepared,
+}
+
+/// Per-head buffers of [`CompiledModel::attention_head`].
+#[derive(Debug, Default)]
+struct AttendScratch {
+    z: Vec<f32>,
     zd: Vec<f32>,
     zs: Vec<f32>,
     raw: Vec<f32>,
     alpha: Vec<f32>,
-    g1: Vec<f32>,
-    g2: Vec<f32>,
-    /// Quantized-activation scratch for the int8 GEMM path.
-    qa: QuantScratch,
+    /// The head's output rows.
+    hh: Vec<f32>,
 }
 
-/// Quantized-activation scratch with a one-slot reuse tag.
-///
-/// The attention branches quantize the same unchanged `h` buffer once
-/// per edge-type group and head — identical input, identical site,
-/// identical scale. Tagging the prepared activations
-/// ([`kernels::Q8Prepared`]: quantize + nonzero-pair compression) with
-/// the calibration site they were built for lets those repeat calls
-/// skip the whole preparation. The tag is only trusted when the caller
-/// asserts the input buffer is unchanged since the tagged call
-/// (`reuse` in [`CompiledModel::mm`]); any non-reusable preparation
-/// invalidates it.
-#[derive(Debug)]
-struct QuantScratch {
-    prep: kernels::Q8Prepared,
-    /// Calibration site of the preparation currently held
-    /// (`usize::MAX` = no valid tag).
-    site: usize,
-    /// Element count of the tagged preparation.
-    len: usize,
-}
-
-impl Default for QuantScratch {
-    fn default() -> Self {
-        QuantScratch {
-            prep: kernels::Q8Prepared::default(),
-            site: usize::MAX,
-            len: 0,
-        }
+impl AttendScratch {
+    /// Grows the row-sized buffers for heads of up to `rows` rows of
+    /// width `fh` (the edge-sized ones grow with each plan).
+    fn reserve(&mut self, rows: usize, fh: usize) {
+        ensure(&mut self.z, rows * fh);
+        ensure(&mut self.hh, rows * fh);
+        ensure(&mut self.zd, rows);
+        ensure(&mut self.zs, rows);
     }
 }
 
@@ -305,6 +292,46 @@ fn ensure(v: &mut Vec<f32>, len: usize) -> &mut [f32] {
         v.resize(len, 0.0);
     }
     &mut v[..len]
+}
+
+/// Raises calibration site `site` to the max-abs of `a` when
+/// calibrating.
+fn record(calib: Option<&mut [f32]>, site: usize, a: &[f32]) {
+    if let Some(sites) = calib {
+        sites[site] = sites[site].max(quant::max_abs(a));
+    }
+}
+
+/// Dense product `out = a @ w` (`m x k` by `k x n`) in `w`'s
+/// representation. `scale` is the int8 activation scale (unused
+/// otherwise). `prepared` asserts that `qa` already holds `a` quantized
+/// at `scale` — sibling heads projecting the same rows share one
+/// preparation. Every arm computes each output row from its input row
+/// alone, so projecting a subset of rows yields exactly those rows of
+/// the full product.
+#[allow(clippy::too_many_arguments)]
+fn project(
+    w: &Packed,
+    a: &[f32],
+    scale: f32,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    qa: &mut kernels::Q8Prepared,
+    prepared: bool,
+) {
+    match w {
+        Packed::F32(t) => kernels::matmul(a, t.as_slice(), out, m, k, n),
+        Packed::F16(h) => kernels::matmul_f16(a, h, out, m, k, n),
+        Packed::Int8(q) => {
+            if !prepared {
+                qa.prepare(a, scale, m, k);
+            }
+            debug_assert_eq!((qa.rows(), qa.inner()), (m, k), "stale int8 preparation");
+            kernels::matmul_q8_prepared(qa, scale, q, out, n);
+        }
+    }
 }
 
 /// Most arenas [`ArenaPool::checkin`] will retain for reuse; arenas
@@ -783,8 +810,12 @@ impl CompiledModel {
     /// Activation scale for an int8 matmul input: calibrated site
     /// maximum when available (and non-zero — a site the calibration
     /// graphs never exercised falls back to the live buffer), dynamic
-    /// max-abs otherwise.
+    /// max-abs otherwise. Zero, and nothing scanned, unless this model
+    /// runs at [`Precision::Int8`].
     fn act_scale(&self, site: usize, a: &[f32]) -> f32 {
+        if self.precision != Precision::Int8 {
+            return 0.0;
+        }
         let calibrated = self.calibration.as_ref().map(|c| c[site]).unwrap_or(0.0);
         let max = if calibrated > 0.0 {
             calibrated
@@ -797,12 +828,6 @@ impl CompiledModel {
     /// Precision-dispatched dense product `out = a @ w`, recording the
     /// input's magnitude into `calib` when calibrating. The f32 arm is
     /// exactly [`kernels::matmul`] — the bitwise-parity path.
-    ///
-    /// `reuse` asserts that `a` is byte-identical to the last `reuse`
-    /// call at the same `site` (nothing wrote the buffer in between),
-    /// allowing the int8 arm to skip re-quantization. The quantized
-    /// result is identical either way: the scale depends only on the
-    /// site (calibrated) or the unchanged input (dynamic max-abs).
     #[allow(clippy::too_many_arguments)]
     fn mm(
         &self,
@@ -813,28 +838,15 @@ impl CompiledModel {
         m: usize,
         k: usize,
         n: usize,
-        qa: &mut QuantScratch,
-        reuse: bool,
+        qa: &mut kernels::Q8Prepared,
         calib: Option<&mut [f32]>,
     ) {
-        if let Some(sites) = calib {
-            sites[site] = sites[site].max(quant::max_abs(a));
-        }
-        match w {
-            Packed::F32(t) => kernels::matmul(a, t.as_slice(), out, m, k, n),
-            Packed::F16(h) => kernels::matmul_f16(a, h, out, m, k, n),
-            Packed::Int8(q) => {
-                let scale = self.act_scale(site, a);
-                let need = m * k;
-                let hit = reuse && qa.site == site && qa.len == need;
-                if !hit {
-                    qa.prep.prepare(a, scale, m, k);
-                    qa.site = if reuse { site } else { usize::MAX };
-                    qa.len = need;
-                }
-                kernels::matmul_q8_prepared(&qa.prep, scale, q, out, n);
-            }
-        }
+        record(calib, site, a);
+        let scale = match w {
+            Packed::Int8(_) => self.act_scale(site, a),
+            _ => 0.0,
+        };
+        project(w, a, scale, out, m, k, n, qa, false);
     }
 
     /// Segment-mean dispatch: the widened-SIMD variant on the
@@ -861,9 +873,6 @@ impl CompiledModel {
         let n = graph.num_nodes();
         let f = self.f;
         let plan = graph.plan();
-        // Arenas are pooled across requests: a reuse tag from a prior
-        // run refers to buffers this run is about to overwrite.
-        arena.qa.site = usize::MAX;
 
         // --- input projection (Algorithm 1 lines 1-2) ------------------
         // Node types partition the node set, so scattering each type's
@@ -888,7 +897,6 @@ impl CompiledModel {
                 x.cols(),
                 f,
                 &mut arena.qa,
-                false,
                 calib.as_deref_mut(),
             );
             kernels::scatter_add_rows(proj, f, idx, &mut arena.h[..n * f]);
@@ -913,7 +921,6 @@ impl CompiledModel {
                         f,
                         f,
                         &mut arena.qa,
-                        false,
                         calib.as_deref_mut(),
                     );
                     let h2 = &mut arena.h2[..n * f];
@@ -938,7 +945,6 @@ impl CompiledModel {
                         2 * f,
                         f,
                         &mut arena.qa,
-                        false,
                         calib.as_deref_mut(),
                     );
                     let h2 = &mut arena.h2[..n * f];
@@ -958,7 +964,6 @@ impl CompiledModel {
                         f,
                         f,
                         &mut arena.qa,
-                        false,
                         calib.as_deref_mut(),
                     );
                     for t in 0..self.num_edge_types {
@@ -979,7 +984,6 @@ impl CompiledModel {
                             f,
                             f,
                             &mut arena.qa,
-                            false,
                             calib.as_deref_mut(),
                         );
                         for (o, &v) in arena.h2[..n * f].iter_mut().zip(arena.t2[..n * f].iter()) {
@@ -993,48 +997,36 @@ impl CompiledModel {
                 GnnKind::Gat => {
                     let tp = plan.union();
                     let fh = f / self.heads;
+                    let h = &arena.h[..n * f];
+                    record(calib.as_deref_mut(), self.site_h(l), h);
+                    let scale = self.act_scale(self.site_h(l), h);
                     ensure(&mut arena.h2, n * f);
-                    if self.heads == 1 {
-                        // Single-head fast path: the concat is the
-                        // identity, so the head output buffer simply
-                        // becomes the layer output (pointer swap, no
-                        // copy).
-                        self.attention_head(
-                            &layer.w_type[0],
-                            Some(&layer.a_type[0]),
-                            tp,
-                            n,
-                            f,
-                            self.site_h(l),
-                            arena,
-                            false,
-                            calib.as_deref_mut(),
-                        );
-                        std::mem::swap(&mut arena.h2, &mut arena.hh);
-                        let h2 = &mut arena.h2[..n * f];
-                        kernels::add_bias(h2, layer.b.as_slice());
-                        kernels::relu(h2);
-                        std::mem::swap(&mut arena.h, &mut arena.h2);
-                        continue;
-                    }
                     for k in 0..self.heads {
                         self.attention_head(
                             &layer.w_type[k],
                             Some(&layer.a_type[k]),
                             tp,
-                            n,
+                            &arena.h[..n * f],
                             fh,
-                            self.site_h(l),
-                            arena,
+                            scale,
+                            &mut arena.attn,
+                            &mut arena.qa,
                             false,
-                            calib.as_deref_mut(),
+                            k > 0,
                         );
-                        // Concatenate heads: head k owns columns
-                        // [k*fh, (k+1)*fh), copied exactly like the
-                        // tape's concat_cols.
-                        for i in 0..n {
-                            arena.h2[i * f + k * fh..i * f + (k + 1) * fh]
-                                .copy_from_slice(&arena.hh[i * fh..(i + 1) * fh]);
+                        if self.heads == 1 {
+                            // The concat is the identity: the head output
+                            // buffer becomes the layer output (pointer
+                            // swap, no copy).
+                            std::mem::swap(&mut arena.h2, &mut arena.attn.hh);
+                        } else {
+                            // Concatenate heads: head k owns columns
+                            // [k*fh, (k+1)*fh), copied exactly like the
+                            // tape's concat_cols.
+                            for i in 0..n {
+                                arena.h2[i * f + k * fh..i * f + (k + 1) * fh]
+                                    .copy_from_slice(&arena.attn.hh[i * fh..(i + 1) * fh]);
+                            }
                         }
                     }
                     let h2 = &mut arena.h2[..n * f];
@@ -1043,81 +1035,89 @@ impl CompiledModel {
                 }
                 GnnKind::ParaGraph => {
                     let fh = f / self.heads;
-                    let agg = ensure(&mut arena.agg, n * f);
-                    agg.fill(0.0);
+                    ensure(&mut arena.agg, n * f).fill(0.0);
+                    // A type-t message only moves along type-t edges, so
+                    // each group projects and attends just the rows its
+                    // edge view touches; any other row would only add
+                    // +0.0 into `agg`. The int8 scale and the calibration
+                    // maximum still come from the whole `h`, as a
+                    // full-row projection reads them.
+                    let h = &arena.h[..n * f];
+                    record(calib.as_deref_mut(), self.site_h(l), h);
+                    let scale = self.act_scale(self.site_h(l), h);
+                    // No view has more than n rows: size the view buffers
+                    // once rather than regrowing them view by view. A
+                    // view's rows of `h` are gathered into `h2`, free
+                    // until the layer output overwrites it.
+                    ensure(&mut arena.h2, n * f);
+                    if self.heads > 1 {
+                        ensure(&mut arena.ht, n * f);
+                    }
+                    arena.attn.reserve(n, fh);
+                    // Reduced precision, real attention, one head: the
+                    // attend kernel adds straight onto the view's `agg`
+                    // rows (gathered into the head output, then copied
+                    // back), the add order of that path.
+                    let fuse = self.precision != Precision::F32
+                        && !self.ablate_attention
+                        && self.heads == 1;
                     let groups = if self.ablate_edge_types {
                         1
                     } else {
                         self.num_edge_types
                     };
                     for t in 0..groups {
-                        let tp = if self.ablate_edge_types {
-                            plan.union()
+                        let view = if self.ablate_edge_types {
+                            plan.union_view()
                         } else {
-                            plan.edge_type(t)
+                            plan.view(t)
                         };
+                        let (rows, tp) = (view.rows(), view.plan());
                         if tp.num_edges() == 0 {
                             continue;
                         }
-                        if self.heads == 1 {
-                            // Single-head fast path: the head-concat is
-                            // the identity, so the head output goes into
-                            // the edge-type sum directly — fused into
-                            // the attend kernel on the reduced-precision
-                            // path, via `hh` (same values, same add
-                            // order, minus the staging memcpy) at f32.
-                            let fuse = self.precision != Precision::F32 && !self.ablate_attention;
-                            self.attention_head(
-                                &layer.w_type[t],
-                                if self.ablate_attention {
-                                    None
-                                } else {
-                                    Some(&layer.a_type[t])
-                                },
-                                tp,
-                                n,
-                                f,
-                                self.site_h(l),
-                                arena,
-                                fuse,
-                                calib.as_deref_mut(),
-                            );
-                            if !fuse {
-                                for (o, &v) in
-                                    arena.agg[..n * f].iter_mut().zip(arena.hh[..n * f].iter())
-                                {
-                                    *o += v;
-                                }
-                            }
-                            continue;
+                        let m = rows.len();
+                        kernels::gather_rows(&arena.h[..n * f], f, rows, &mut arena.h2[..m * f]);
+                        if fuse {
+                            let hh = &mut arena.attn.hh[..m * f];
+                            kernels::gather_rows(&arena.agg[..n * f], f, rows, hh);
                         }
-                        ensure(&mut arena.ht, n * f);
                         for k in 0..self.heads {
                             let pi = t * self.heads + k;
-                            let a = if self.ablate_attention {
-                                None
-                            } else {
-                                Some(&layer.a_type[pi])
-                            };
                             self.attention_head(
                                 &layer.w_type[pi],
-                                a,
+                                (!self.ablate_attention).then(|| &layer.a_type[pi]),
                                 tp,
-                                n,
+                                &arena.h2[..m * f],
                                 fh,
-                                self.site_h(l),
-                                arena,
-                                false,
-                                calib.as_deref_mut(),
+                                scale,
+                                &mut arena.attn,
+                                &mut arena.qa,
+                                fuse,
+                                k > 0,
                             );
-                            for i in 0..n {
-                                arena.ht[i * f + k * fh..i * f + (k + 1) * fh]
-                                    .copy_from_slice(&arena.hh[i * fh..(i + 1) * fh]);
+                            if self.heads > 1 {
+                                // Head k owns columns [k*fh, (k+1)*fh).
+                                for i in 0..m {
+                                    arena.ht[i * f + k * fh..i * f + (k + 1) * fh]
+                                        .copy_from_slice(&arena.attn.hh[i * fh..(i + 1) * fh]);
+                                }
                             }
                         }
-                        // Algorithm 1 line 9: sum over edge types.
-                        for (o, &v) in arena.agg[..n * f].iter_mut().zip(arena.ht[..n * f].iter()) {
-                            *o += v;
+                        let msg = if self.heads == 1 {
+                            &arena.attn.hh[..m * f]
+                        } else {
+                            &arena.ht[..m * f]
+                        };
+                        let agg = &mut arena.agg[..n * f];
+                        if fuse {
+                            for (i, &r) in rows.iter().enumerate() {
+                                let r = r as usize;
+                                agg[r * f..(r + 1) * f].copy_from_slice(&msg[i * f..(i + 1) * f]);
+                            }
+                        } else {
+                            // Algorithm 1 line 9: sum over edge types.
+                            kernels::scatter_add_rows(msg, f, rows, agg);
                         }
                     }
                     // Line 10: W (h ‖ agg) + b — or a plain sum under the
@@ -1139,7 +1139,6 @@ impl CompiledModel {
                             f,
                             f,
                             &mut arena.qa,
-                            false,
                             calib.as_deref_mut(),
                         );
                     } else {
@@ -1154,7 +1153,6 @@ impl CompiledModel {
                             2 * f,
                             f,
                             &mut arena.qa,
-                            false,
                             calib.as_deref_mut(),
                         );
                     }
@@ -1183,7 +1181,6 @@ impl CompiledModel {
                 width,
                 next,
                 &mut arena.qa,
-                false,
                 calib.as_deref_mut(),
             );
             let g2 = &mut arena.g2[..m * next];
@@ -1202,118 +1199,52 @@ impl CompiledModel {
         }
     }
 
-    /// One attention (or ablated-mean) head: `z = h W`, then either the
-    /// fused attend pipeline or a plain segment mean, into `arena.hh` —
-    /// or, with `accum_into_agg` (reduced precision + real attention
-    /// only), accumulated straight into `arena.agg`, skipping the `hh`
-    /// zero-fill, store and re-read the staging buffer would cost.
+    /// One attention (or ablated-mean) head over the `tp.num_nodes()`
+    /// rows of `x`: `z = x W`, then either the fused attend pipeline or a
+    /// plain segment mean, into `s.hh`. With `accumulate` (reduced
+    /// precision and real attention only) `s.hh` already holds a running
+    /// sum the attend kernel adds onto instead of a zeroed buffer.
+    /// `scale` and `prepared` are passed through to [`project`].
     #[allow(clippy::too_many_arguments)]
     fn attention_head(
         &self,
         w: &Packed,
         a: Option<&Tensor>,
         tp: &paragraph_tensor::CsrPlan,
-        n: usize,
+        x: &[f32],
         fh: usize,
-        site: usize,
-        arena: &mut Arena,
-        accum_into_agg: bool,
-        calib: Option<&mut [f32]>,
+        scale: f32,
+        s: &mut AttendScratch,
+        qa: &mut kernels::Q8Prepared,
+        accumulate: bool,
+        prepared: bool,
     ) {
-        let f = self.f;
-        ensure(&mut arena.z, n * fh);
-        // `reuse = true`: every head/group projection within a layer
-        // reads the same untouched `h` at the same site — attention
-        // writes go to `z`/`hh`/`ht` — so the int8 arm quantizes `h`
-        // once per layer instead of once per (group, head).
-        self.mm(
-            w,
-            site,
-            &arena.h[..n * f],
-            &mut arena.z[..n * fh],
-            n,
-            f,
-            fh,
-            &mut arena.qa,
-            true,
-            calib,
-        );
         debug_assert!(
-            !(accum_into_agg && self.precision == Precision::F32),
+            !(accumulate && (self.precision == Precision::F32 || a.is_none())),
             "the fused-accumulate path changes float add order; \
              the bitwise f32 contract forbids it"
         );
-        match a {
-            Some(a) => {
-                let e = tp.num_edges();
-                ensure(&mut arena.zd, n);
-                ensure(&mut arena.zs, n);
-                ensure(&mut arena.raw, e);
-                ensure(&mut arena.alpha, e);
-                if self.precision == Precision::F32 {
-                    kernels::attend_scores(
-                        &arena.z[..n * fh],
-                        fh,
-                        a.as_slice(),
-                        tp,
-                        self.slope,
-                        &mut arena.zd[..n],
-                        &mut arena.zs[..n],
-                        &mut arena.raw[..e],
-                        &mut arena.alpha[..e],
-                    );
-                } else {
-                    kernels::attend_scores_fast(
-                        &arena.z[..n * fh],
-                        fh,
-                        a.as_slice(),
-                        tp,
-                        self.slope,
-                        &mut arena.zd[..n],
-                        &mut arena.zs[..n],
-                        &mut arena.raw[..e],
-                        &mut arena.alpha[..e],
-                    );
-                }
-                if accum_into_agg {
-                    // attend_apply accumulates into its output, so
-                    // handing it the edge-type sum directly both skips
-                    // the hh staging round-trip and performs the
-                    // `agg += head` add for free.
-                    kernels::attend_apply_fast(
-                        &arena.z[..n * fh],
-                        fh,
-                        tp,
-                        &arena.alpha[..e],
-                        &mut arena.agg[..n * fh],
-                    );
-                } else if self.precision == Precision::F32 {
-                    let hh = ensure(&mut arena.hh, n * fh);
-                    hh.fill(0.0);
-                    kernels::attend_apply(
-                        &arena.z[..n * fh],
-                        fh,
-                        tp,
-                        &arena.alpha[..e],
-                        &mut arena.hh[..n * fh],
-                    );
-                } else {
-                    let hh = ensure(&mut arena.hh, n * fh);
-                    hh.fill(0.0);
-                    kernels::attend_apply_fast(
-                        &arena.z[..n * fh],
-                        fh,
-                        tp,
-                        &arena.alpha[..e],
-                        &mut arena.hh[..n * fh],
-                    );
-                }
-            }
-            None => {
-                let hh = ensure(&mut arena.hh, n * fh);
-                hh.fill(0.0);
-                self.spmm_mean(&arena.z[..n * fh], fh, tp, &mut arena.hh[..n * fh]);
-            }
+        let m = tp.num_nodes();
+        let z = ensure(&mut s.z, m * fh);
+        project(w, x, scale, z, m, self.f, fh, qa, prepared);
+        let z = &s.z[..m * fh];
+        let hh = ensure(&mut s.hh, m * fh);
+        if !accumulate {
+            hh.fill(0.0);
+        }
+        let Some(a) = a else {
+            self.spmm_mean(z, fh, tp, hh);
+            return;
+        };
+        let e = tp.num_edges();
+        let (zd, zs) = (ensure(&mut s.zd, m), ensure(&mut s.zs, m));
+        let (raw, alpha) = (ensure(&mut s.raw, e), ensure(&mut s.alpha, e));
+        if self.precision == Precision::F32 {
+            kernels::attend_scores(z, fh, a.as_slice(), tp, self.slope, zd, zs, raw, alpha);
+            kernels::attend_apply(z, fh, tp, alpha, hh);
+        } else {
+            kernels::attend_scores_fast(z, fh, a.as_slice(), tp, self.slope, zd, zs, raw, alpha);
+            kernels::attend_apply_fast(z, fh, tp, alpha, hh);
         }
     }
 }

@@ -11,7 +11,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use paragraph_exec::{CompiledModel, Precision};
 use paragraph_gnn::{GnnKind, GnnModel, GraphSchema, HeteroGraph, ModelConfig};
@@ -43,6 +43,31 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// The allocation counter is process-wide, so a test counting it must
+/// not overlap a sibling's allocations: every test in this file holds
+/// this lock for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Returns once no thread has allocated for 10 ms. Called right before
+/// a counting window opens, so the test harness's bookkeeping for a
+/// sibling test that just finished (reporting its result, spawning the
+/// next test thread) lands before the window instead of inside it.
+fn settle() {
+    let mut last = alloc_count();
+    loop {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let now = alloc_count();
+        if now == last {
+            return;
+        }
+        last = now;
+    }
 }
 
 fn small_graph() -> (GraphSchema, HeteroGraph) {
@@ -112,6 +137,7 @@ fn member_graph(seed: usize) -> HeteroGraph {
 /// changing between calls.
 #[test]
 fn steady_state_batched_predict_is_allocation_free() {
+    let _serial = serial();
     let members: Vec<HeteroGraph> = (0..6).map(member_graph).collect();
     let refs: Vec<&HeteroGraph> = members.iter().collect();
     let locals: Vec<Vec<u32>> = members
@@ -139,6 +165,7 @@ fn steady_state_batched_predict_is_allocation_free() {
             exec.predict_batch_into(&refs[lo..hi], &locals[lo..hi], &mut out);
         }
 
+        settle();
         let before = alloc_count();
         for i in 0..100 {
             let (lo, hi) = windows[i % windows.len()];
@@ -154,6 +181,7 @@ fn steady_state_batched_predict_is_allocation_free() {
 
 #[test]
 fn steady_state_predict_is_allocation_free() {
+    let _serial = serial();
     let (schema, graph) = small_graph();
     // Pre-build the cached GraphPlan so plan compilation is not charged
     // to the request path (serve reuses the plan exactly like this).
@@ -167,6 +195,7 @@ fn steady_state_predict_is_allocation_free() {
         exec.predict_into(&graph, &nodes, &mut out);
         exec.predict_into(&graph, &nodes, &mut out);
 
+        settle();
         let before = alloc_count();
         for _ in 0..100 {
             exec.predict_into(&graph, &nodes, &mut out);
@@ -183,6 +212,7 @@ fn steady_state_predict_is_allocation_free() {
 
 #[test]
 fn predictions_bitwise_stable_across_1000_reuses() {
+    let _serial = serial();
     let (schema, graph) = small_graph();
     let _ = graph.plan();
     let nodes: Vec<u32> = vec![0, 3, 5, 8, 11];

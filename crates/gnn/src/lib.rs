@@ -42,6 +42,6 @@ mod train;
 pub use batch::{batch_tasks, GraphBatch};
 pub use graph::{EdgeList, GraphSchema, HeteroGraph};
 pub use model::{GnnKind, GnnModel, LayerSpec, ModelConfig};
-pub use plan::GraphPlan;
+pub use plan::{EdgeView, GraphPlan};
 pub use sample::{sample_subgraph, SampleConfig, Subsample};
 pub use train::{evaluate, EpochStats, GraphTask, TrainConfig, Trainer};

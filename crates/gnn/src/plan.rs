@@ -2,8 +2,10 @@
 //!
 //! A [`GraphPlan`] bundles one [`CsrPlan`] per edge type plus a plan for
 //! the type-union edge list (used by the homogeneous GCN / GraphSage /
-//! GAT layers) and the GCN symmetric-norm coefficients over that union.
-//! It is built once per [`HeteroGraph`](crate::HeteroGraph) (lazily, via
+//! GAT layers), the GCN symmetric-norm coefficients over that union, and
+//! a compact [`EdgeView`] of each of those edge lists (used by the
+//! compiled executor's ParaGraph layers). It is built once per
+//! [`HeteroGraph`](crate::HeteroGraph) (lazily, via
 //! [`HeteroGraph::plan`](crate::HeteroGraph::plan)) and shared behind an
 //! `Arc` across every layer, epoch and ensemble member — the degree
 //! counting, destination sorting and normalisation that every layer call
@@ -15,12 +17,23 @@ use paragraph_tensor::CsrPlan;
 
 use crate::graph::HeteroGraph;
 
-/// Reusable buffers for the union COO concatenation a plan
-/// (re)compilation needs. Owned by whoever rebuilds plans repeatedly
-/// (the batch assembler) so the concatenation stops allocating once the
-/// buffers reach steady-state capacity.
+/// Reusable buffers for the union COO concatenation and the edge-view
+/// renumbering a plan (re)compilation needs. Owned by whoever rebuilds
+/// plans repeatedly (the batch assembler) so a rebuild stops allocating
+/// once the buffers reach steady-state capacity.
 #[derive(Debug, Default, Clone)]
 pub struct PlanScratch {
+    src: Vec<u32>,
+    dst: Vec<u32>,
+    view: ViewScratch,
+}
+
+/// Renumbering buffers for [`EdgeView::rebuild`].
+#[derive(Debug, Default, Clone)]
+struct ViewScratch {
+    /// Local id of each global node within the view being built (only
+    /// the entries of that view's rows are meaningful).
+    local: Vec<u32>,
     src: Vec<u32>,
     dst: Vec<u32>,
 }
@@ -28,12 +41,88 @@ pub struct PlanScratch {
 impl PlanScratch {
     /// Shrinks each buffer's excess capacity down to `cap` elements.
     pub fn shrink_excess(&mut self, cap: usize) {
-        if self.src.capacity() > cap {
-            self.src.shrink_to(cap);
+        let view = &mut self.view;
+        for v in [
+            &mut self.src,
+            &mut self.dst,
+            &mut view.local,
+            &mut view.src,
+            &mut view.dst,
+        ] {
+            if v.capacity() > cap {
+                v.shrink_to(cap);
+            }
         }
-        if self.dst.capacity() > cap {
-            self.dst.shrink_to(cap);
+    }
+}
+
+/// The rows one edge list touches, with its edges renumbered over them.
+///
+/// `rows` lists, ascending, every node that is the source or the
+/// destination of at least one edge; `plan` compiles the same edges, in
+/// the same order, over local ids — node `rows[i]` is local node `i`. A
+/// message along these edges only ever reads and writes these rows, so
+/// a kernel run over the compact plan needs `rows.len()` rows of input
+/// instead of the whole graph's. Local ids ascend with global ids and
+/// the CSR sort is stable, so every destination sees its incoming edges
+/// in the same order as in the full-graph plan: a row-independent
+/// kernel computes each touched row exactly as it would over the full
+/// plan.
+#[derive(Debug, Clone)]
+pub struct EdgeView {
+    rows: Vec<u32>,
+    plan: CsrPlan,
+}
+
+impl Default for EdgeView {
+    fn default() -> Self {
+        Self {
+            rows: Vec::new(),
+            plan: CsrPlan::new(&[], &[], 0),
         }
+    }
+}
+
+impl EdgeView {
+    /// Recompiles the view of the edge list `src -> dst`, whose
+    /// full-graph compilation is `full`, reusing every buffer.
+    fn rebuild(&mut self, full: &CsrPlan, src: &[u32], dst: &[u32], scratch: &mut ViewScratch) {
+        let n = full.num_nodes();
+        let (din, dout) = (full.in_degree(), full.out_degree());
+        self.rows.clear();
+        self.rows
+            .extend((0..n as u32).filter(|&v| din[v as usize] > 0.0 || dout[v as usize] > 0.0));
+        let local = &mut scratch.local;
+        if local.len() < n {
+            local.resize(n, 0);
+        }
+        for (i, &v) in self.rows.iter().enumerate() {
+            local[v as usize] = i as u32;
+        }
+        scratch.src.clear();
+        scratch.src.extend(src.iter().map(|&v| local[v as usize]));
+        scratch.dst.clear();
+        scratch.dst.extend(dst.iter().map(|&v| local[v as usize]));
+        self.plan
+            .rebuild(&scratch.src, &scratch.dst, self.rows.len());
+    }
+
+    fn shrink_excess(&mut self, cap: usize) {
+        if self.rows.capacity() > cap {
+            self.rows.shrink_to(cap);
+        }
+        self.plan.shrink_excess(cap);
+    }
+
+    /// Global ids of the touched rows, ascending; local node `i` is
+    /// `rows()[i]`.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// The edges over local ids.
+    pub fn plan(&self) -> &CsrPlan {
+        &self.plan
     }
 }
 
@@ -41,7 +130,10 @@ impl PlanScratch {
 #[derive(Debug)]
 pub struct GraphPlan {
     per_type: Vec<Arc<CsrPlan>>,
+    /// Compact view of each edge type, index-aligned with `per_type`.
+    views: Vec<EdgeView>,
     union: Arc<CsrPlan>,
+    union_view: EdgeView,
     /// GCN symmetric-norm coefficients `1/sqrt(dout(s)·din(d))` (degrees
     /// floored at 1) per union edge, in the union plan's
     /// destination-sorted order.
@@ -53,7 +145,9 @@ impl GraphPlan {
     pub fn build(graph: &HeteroGraph) -> Self {
         let mut plan = Self {
             per_type: Vec::new(),
+            views: Vec::new(),
             union: Arc::new(CsrPlan::new(&[], &[], 0)),
+            union_view: EdgeView::default(),
             union_gcn_coeff: Arc::new(Vec::new()),
         };
         plan.rebuild(graph, &mut PlanScratch::default());
@@ -63,12 +157,15 @@ impl GraphPlan {
     /// Recompiles every plan in place for `graph`'s current topology.
     /// CSR buffers are reused whenever this plan's `Arc`s are uniquely
     /// held (a shared plan falls back to a fresh compilation — the old
-    /// holder keeps seeing the old topology). `scratch` carries the
-    /// union COO concatenation buffers between calls; at steady-state
-    /// capacity a rebuild performs no heap allocation.
+    /// holder keeps seeing the old topology). The edge views are owned
+    /// by the plan and always rebuilt in place. `scratch` carries the
+    /// union COO concatenation and view renumbering buffers between
+    /// calls; at steady-state capacity a rebuild performs no heap
+    /// allocation.
     pub fn rebuild(&mut self, graph: &HeteroGraph, scratch: &mut PlanScratch) {
         let n = graph.num_nodes();
         self.per_type.truncate(graph.num_edge_types());
+        self.views.truncate(graph.num_edge_types());
         for t in 0..graph.num_edge_types() {
             let e = graph.edges(t);
             if t >= self.per_type.len() {
@@ -78,6 +175,10 @@ impl GraphPlan {
             } else {
                 self.per_type[t] = CsrPlan::shared(&e.src, &e.dst, n);
             }
+            if t >= self.views.len() {
+                self.views.push(EdgeView::default());
+            }
+            self.views[t].rebuild(&self.per_type[t], &e.src, &e.dst, &mut scratch.view);
         }
         // Union edges in edge-type order, matching
         // `HeteroGraph::union_edges`.
@@ -93,6 +194,8 @@ impl GraphPlan {
         } else {
             self.union = CsrPlan::shared(&scratch.src, &scratch.dst, n);
         }
+        self.union_view
+            .rebuild(&self.union, &scratch.src, &scratch.dst, &mut scratch.view);
         let union = &self.union;
         if Arc::get_mut(&mut self.union_gcn_coeff).is_none() {
             self.union_gcn_coeff = Arc::new(Vec::new());
@@ -115,6 +218,9 @@ impl GraphPlan {
                 p.shrink_excess(cap);
             }
         }
+        for view in self.views.iter_mut().chain([&mut self.union_view]) {
+            view.shrink_excess(cap);
+        }
         if let Some(u) = Arc::get_mut(&mut self.union) {
             u.shrink_excess(cap);
         }
@@ -130,9 +236,19 @@ impl GraphPlan {
         &self.per_type[t]
     }
 
+    /// The compact view of one edge type.
+    pub fn view(&self, t: usize) -> &EdgeView {
+        &self.views[t]
+    }
+
     /// The plan for the union of all edge types.
     pub fn union(&self) -> &Arc<CsrPlan> {
         &self.union
+    }
+
+    /// The compact view of the union of all edge types.
+    pub fn union_view(&self) -> &EdgeView {
+        &self.union_view
     }
 
     /// GCN symmetric-norm coefficients for the union plan, in its
@@ -181,6 +297,26 @@ mod tests {
             let expect = 1.0 / (u.out_degree()[s].max(1.0) * u.in_degree()[d].max(1.0)).sqrt();
             assert_eq!(plan.union_gcn_coeff()[ei], expect);
         }
+    }
+
+    #[test]
+    fn views_renumber_touched_rows_in_order() {
+        let g = graph();
+        let plan = g.plan();
+        // Type 0: 0 -> 1, 1 -> 2 touches rows 0..=2.
+        let v0 = plan.view(0);
+        assert_eq!(v0.rows(), &[0, 1, 2]);
+        assert_eq!(v0.plan(), &CsrPlan::new(&[0, 1], &[1, 2], 3));
+        // Type 1: 2 -> 0, 3 -> 0 skips row 1; local ids 0, 1, 2 stand
+        // for rows 0, 2, 3, and both edges keep their order into 0.
+        let v1 = plan.view(1);
+        assert_eq!(v1.rows(), &[0, 2, 3]);
+        assert_eq!(v1.plan(), &CsrPlan::new(&[1, 2], &[0, 0], 3));
+        assert_eq!(plan.union_view().rows(), &[0, 1, 2, 3]);
+        assert_eq!(
+            plan.union_view().plan().sorted_src(),
+            plan.union().sorted_src()
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use paragraph_gnn::{GraphBatch, GraphSchema, HeteroGraph};
 use paragraph_tensor::Tensor;
@@ -36,6 +37,31 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// The allocation counter is process-wide, so a test counting it must
+/// not overlap a sibling's allocations: every test in this file holds
+/// this lock for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Returns once no thread has allocated for 10 ms. Called right before
+/// a counting window opens, so the test harness's bookkeeping for a
+/// sibling test that just finished (reporting its result, spawning the
+/// next test thread) lands before the window instead of inside it.
+fn settle() {
+    let mut last = alloc_count();
+    loop {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let now = alloc_count();
+        if now == last {
+            return;
+        }
+        last = now;
+    }
 }
 
 fn schema() -> GraphSchema {
@@ -97,11 +123,25 @@ fn assert_batches_match(reused: &GraphBatch, fresh: &GraphBatch) {
             pb.edge_type(et).sorted_src(),
             "per-type plan mismatch for edge type {et}"
         );
+        let (va, vb) = (pa.view(et), pb.view(et));
+        assert_eq!(
+            va.rows(),
+            vb.rows(),
+            "view rows mismatch for edge type {et}"
+        );
+        assert_eq!(
+            va.plan(),
+            vb.plan(),
+            "view plan mismatch for edge type {et}"
+        );
     }
+    assert_eq!(pa.union_view().rows(), pb.union_view().rows());
+    assert_eq!(pa.union_view().plan(), pb.union_view().plan());
 }
 
 #[test]
 fn reused_assembly_matches_fresh_batch() {
+    let _serial = serial();
     let members: Vec<HeteroGraph> = (0..8).map(member).collect();
     let refs: Vec<&HeteroGraph> = members.iter().collect();
     let mut batch = GraphBatch::new(&refs[..2]);
@@ -118,6 +158,7 @@ fn reused_assembly_matches_fresh_batch() {
 
 #[test]
 fn steady_state_assembly_is_allocation_free() {
+    let _serial = serial();
     let members: Vec<HeteroGraph> = (0..8).map(member).collect();
     let refs: Vec<&HeteroGraph> = members.iter().collect();
     let windows = [&refs[..4], &refs[4..8], &refs[2..6], &refs[..8]];
@@ -129,6 +170,7 @@ fn steady_state_assembly_is_allocation_free() {
         batch.assemble(window);
     }
 
+    settle();
     let before = alloc_count();
     for i in 0..1000 {
         batch.assemble(windows[i % windows.len()]);

@@ -21,6 +21,10 @@ use serde_json::Value;
 const NETLIST: &str = "mp o i vdd vdd pch\nmn o i vss vss nch\n.end\n";
 const NL_ESCAPED: &str = "mp o i vdd vdd pch\\nmn o i vss vss nch\\n.end\\n";
 
+/// Tests here switch the process-wide tracing and event flags, and any
+/// request handled while events are on is logged: every test that
+/// handles requests holds this lock, so one test's events never land
+/// in another's log.
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     match LOCK.get_or_init(|| Mutex::new(())).lock() {
@@ -256,6 +260,7 @@ fn slow_requests_are_counted_and_always_logged() {
 
 #[test]
 fn rolling_latency_quantiles_reach_the_metrics_endpoint() {
+    let _g = lock();
     let svc = service(ServiceConfig::default());
     for i in 0..20 {
         call(&svc, &format!(r#"{{"op": "health", "id": {i}}}"#));
@@ -284,6 +289,7 @@ fn rolling_latency_quantiles_reach_the_metrics_endpoint() {
 
 #[test]
 fn ood_traffic_degrades_health_and_in_distribution_stays_green() {
+    let _g = lock();
     let svc = service(ServiceConfig {
         drift: DriftConfig {
             min_requests: 4,
@@ -360,6 +366,7 @@ fn ood_traffic_degrades_health_and_in_distribution_stays_green() {
 
 #[test]
 fn health_reports_per_model_readiness() {
+    let _g = lock();
     let svc = service(ServiceConfig::default());
     let health = call(&svc, r#"{"op": "health", "id": 1}"#);
     let registry = health["result"]["model_registry"].as_array().unwrap();

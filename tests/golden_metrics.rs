@@ -12,9 +12,12 @@
 //! ```
 
 use paragraph::prelude::*;
-use paragraph::{ExecutorMode, Precision};
+use paragraph::{edge_type_name, ExecutorMode, Precision, NUM_EDGE_TYPES};
+use paragraph_circuitgen::{
+    compose_chip, FAMILY_ANALOG, FAMILY_DAC, FAMILY_IO, FAMILY_PMU, FAMILY_REF,
+};
 use paragraph_layout::LayoutConfig;
-use paragraph_netlist::parse_spice;
+use paragraph_netlist::{parse_spice, Circuit};
 use serde_json::{json, Value};
 
 /// Relative tolerance for golden float comparisons. The run is
@@ -124,15 +127,72 @@ fn assert_close(name: &str, actual: f64, golden: f64) {
 /// `paragraph-exec` parity suite pins on raw graphs, here checked
 /// through the full `predict_circuit` pipeline (graph build, feature
 /// normalisation, unscaling) so serving can switch paths freely.
+///
+/// Besides the hand-built inverter chains (where nearly every node
+/// touches every edge type), the inputs include generated chips from
+/// several families, so the executor's per-edge-type views cover sparse
+/// types — thick-gate, diode and BJT terminals among them — and every
+/// ParaGraph variant (two heads, each ablation) runs over them.
 #[test]
 fn executor_path_is_bitwise_identical_to_tape() {
     let mut train = dataset(4, 11);
-    let test = dataset(2, 60);
     let norm = fit_norm(&train);
     normalize_circuits(&mut train, &norm);
 
-    for kind in GnnKind::all() {
-        let mut fit = FitConfig::quick(kind);
+    let mut circuits: Vec<Circuit> = dataset(2, 60).into_iter().map(|pc| pc.circuit).collect();
+    for (i, (name, family)) in [
+        ("io", FAMILY_IO),
+        ("ref", FAMILY_REF),
+        ("analog", FAMILY_ANALOG),
+        ("dac", FAMILY_DAC),
+        ("pmu", FAMILY_PMU),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        circuits.push(compose_chip(name, 31 + i as u64, family, 5));
+    }
+    let exercised: Vec<String> = (0..NUM_EDGE_TYPES)
+        .filter(|&t| {
+            circuits
+                .iter()
+                .any(|c| !build_graph(c).graph.edges(t).is_empty())
+        })
+        .map(edge_type_name)
+        .collect();
+    assert!(
+        exercised.len() >= 15,
+        "only {} edge types exercised: {exercised:?}",
+        exercised.len()
+    );
+    for terminal in ["thick", "diode", "bjt"] {
+        assert!(
+            exercised.iter().any(|name| name.contains(terminal)),
+            "no {terminal} edge type exercised: {exercised:?}"
+        );
+    }
+
+    let mut fits: Vec<(String, FitConfig)> = GnnKind::all()
+        .into_iter()
+        .map(|kind| (kind.name().to_string(), FitConfig::quick(kind)))
+        .collect();
+    for variant in [
+        "heads2",
+        "ablate_attention",
+        "ablate_edge_types",
+        "ablate_concat",
+    ] {
+        let mut fit = FitConfig::quick(GnnKind::ParaGraph);
+        match variant {
+            "heads2" => fit.attention_heads = 2,
+            "ablate_attention" => fit.ablate_attention = true,
+            "ablate_edge_types" => fit.ablate_edge_types = true,
+            _ => fit.ablate_concat = true,
+        }
+        fits.push((format!("ParaGraph/{variant}"), fit));
+    }
+
+    for (name, mut fit) in fits {
         fit.epochs = 4;
         fit.seed = 7;
         let (model, _) = TargetModel::train(&train, Target::Cap, None, fit, &norm);
@@ -144,20 +204,20 @@ fn executor_path_is_bitwise_identical_to_tape() {
         // process-wide PARAGRAPH_PRECISION override (the quantized CI
         // job) cannot reroute this test through a quantized path.
         exec_model.precision = Some(Precision::F32);
-        for pc in &test {
-            let tape = tape_model.predict_circuit(&pc.circuit);
-            let exec = exec_model.predict_circuit(&pc.circuit);
+        for circuit in &circuits {
+            let tape = tape_model.predict_circuit(circuit);
+            let exec = exec_model.predict_circuit(circuit);
             assert_eq!(tape.len(), exec.len());
             for (i, (t, e)) in tape.iter().zip(&exec).enumerate() {
                 match (t, e) {
                     (Some(t), Some(e)) => assert_eq!(
                         t.to_bits(),
                         e.to_bits(),
-                        "{}: net {i} differs (tape {t:?} vs executor {e:?})",
-                        kind.name()
+                        "{name} on {}: net {i} differs (tape {t:?} vs executor {e:?})",
+                        circuit.name
                     ),
                     (None, None) => {}
-                    other => panic!("{}: net {i} presence differs: {other:?}", kind.name()),
+                    other => panic!("{name}: net {i} presence differs: {other:?}"),
                 }
             }
         }
