@@ -1,7 +1,6 @@
 //! Criterion bench: end-to-end throughput of the sharded gateway over
 //! real TCP — keep-alive JSON-lines clients against 1, 2, and
-//! all-cores shard counts, with the legacy thread-per-connection
-//! server as the baseline.
+//! all-cores shard counts.
 //!
 //! Besides the criterion timings, a machine-readable JSON summary
 //! (requests/second plus p50/p95/p99 latency per configuration) is
@@ -18,8 +17,7 @@ use paragraph::prelude::*;
 use paragraph_layout::LayoutConfig;
 use paragraph_netlist::parse_spice;
 use paragraph_serve::{
-    Gateway, GatewayConfig, GatewayHandle, LoadedModels, ModelRegistry, Server, ServerHandle,
-    Service, ServiceConfig,
+    Gateway, GatewayConfig, GatewayHandle, LoadedModels, ModelRegistry, ServiceConfig,
 };
 use serde_json::json;
 
@@ -73,11 +71,6 @@ fn start_gateway(shards: usize) -> GatewayHandle {
     Gateway::bind("127.0.0.1:0", registry(), config)
         .unwrap()
         .spawn()
-}
-
-fn start_legacy() -> ServerHandle {
-    let service = Arc::new(Service::new(registry(), service_config()));
-    Server::bind("127.0.0.1:0", service).unwrap().spawn()
 }
 
 fn predict_line() -> String {
@@ -181,21 +174,6 @@ fn json_summary() {
     }
 
     let mut configs = Vec::new();
-
-    let legacy = start_legacy();
-    let (served, lat) = measure(legacy.addr(), window);
-    legacy.shutdown();
-    configs.push(json!({
-        "config": "legacy_server",
-        "shards": null,
-        "requests_served": served,
-        "requests_per_second": served as f64 / window,
-        "latency_us": {
-            "p50": quantile(&lat, 0.50),
-            "p95": quantile(&lat, 0.95),
-            "p99": quantile(&lat, 0.99),
-        },
-    }));
 
     for &shards in &shard_counts {
         let handle = start_gateway(shards);

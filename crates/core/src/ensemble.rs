@@ -7,10 +7,14 @@
 //! 10 pF) and, per net, keeps the highest-range model whose prediction
 //! exceeds the next-lower range boundary.
 
+use std::time::Instant;
+
 use paragraph_netlist::Circuit;
 
 use crate::graphbuild::{build_graph, CircuitGraph};
-use crate::pipeline::{PreparedCircuit, TargetModel};
+use crate::pipeline::{
+    elapsed_us, CircuitPredictions, PredictProfile, PreparedCircuit, TargetModel,
+};
 use crate::targets::Target;
 
 /// The paper's `max_v` ladder: 1 fF, 10 fF, 100 fF, 10 pF.
@@ -162,6 +166,28 @@ impl CapEnsemble {
         picked
     }
 
+    /// Algorithm 2 over one circuit's per-member predictions
+    /// (`per_member[m][net]`, ascending `max_v`): each net's selected
+    /// prediction (`None` where a member has none), and how many nets
+    /// each member's prediction won.
+    fn select_nets(&self, per_member: &[&[Option<f64>]]) -> (Vec<Option<f64>>, Vec<u64>) {
+        let nets = per_member.first().map_or(0, |preds| preds.len());
+        let mut selected = vec![0u64; self.models.len()];
+        let mut row = Vec::with_capacity(self.models.len());
+        let preds = (0..nets)
+            .map(|net| {
+                row.clear();
+                for preds in per_member {
+                    row.push(preds[net]?);
+                }
+                let i = self.select_index(&row);
+                selected[i] += 1;
+                Some(row[i])
+            })
+            .collect();
+        (preds, selected)
+    }
+
     /// Predicts every net's capacitance of a prepared circuit (indexed by
     /// net id, `None` on rails), applying Algorithm 2 per net.
     pub fn predict_graph(&self, circuit: &Circuit, cg: &CircuitGraph) -> Vec<Option<f64>> {
@@ -170,12 +196,8 @@ impl CapEnsemble {
             .iter()
             .map(|m| m.predict_graph(circuit, cg))
             .collect();
-        (0..circuit.num_nets())
-            .map(|net| {
-                let preds: Option<Vec<f64>> = per_model.iter().map(|pm| pm[net]).collect();
-                preds.map(|p| self.select(&p))
-            })
-            .collect()
+        let per_member: Vec<&[Option<f64>]> = per_model.iter().map(Vec::as_slice).collect();
+        self.select_nets(&per_member).0
     }
 
     /// Convenience for a [`PreparedCircuit`].
@@ -183,109 +205,61 @@ impl CapEnsemble {
         self.predict_graph(&pc.circuit, &pc.graph)
     }
 
-    /// Predicts every net's capacitance of a fresh schematic. The graph
-    /// and its message plan are built once; before each member predicts,
-    /// the graph's features are renormalised from the raw rows with that
-    /// member's own `FeatureNorm` (members may carry different feature
-    /// normalisations). Algorithm 2 then selects per net.
+    /// Predicts every net's capacitance of a fresh schematic: the single
+    /// result of [`CapEnsemble::predict_circuits`] on `[circuit]`.
     pub fn predict_circuit(&self, circuit: &Circuit) -> Vec<Option<f64>> {
-        let mut cg = build_graph(circuit);
-        let per_model: Vec<Vec<Option<f64>>> = self
-            .models
-            .iter()
-            .map(|m| {
-                cg.normalize(&m.norm);
-                m.predict_graph(circuit, &cg)
-            })
-            .collect();
-        (0..circuit.num_nets())
-            .map(|net| {
-                let preds: Option<Vec<f64>> = per_model.iter().map(|pm| pm[net]).collect();
-                preds.map(|p| self.select(&p))
-            })
-            .collect()
+        let (mut preds, _, _) = self.predict_circuits(&[circuit]);
+        preds.pop().expect("one prediction per circuit")
     }
 
-    /// [`CapEnsemble::predict_circuit`] with a per-stage wall-clock
-    /// breakdown (the one graph build plus every member's
-    /// renormalisation, and every member's forward), plus how many nets
-    /// each member's prediction won (Algorithm-2 selection counts,
-    /// ascending `max_v` order). Predictions are bitwise identical to
-    /// the unprofiled path.
-    pub fn predict_circuit_profiled(
+    /// Predicts every net's capacitance for several fresh schematics.
+    /// Each circuit's graph and its message plan are built once; before
+    /// each member predicts, the graphs' features are renormalised from
+    /// the raw rows with that member's own `FeatureNorm` (members may
+    /// carry different feature normalisations). Each member runs one
+    /// forward pass over the circuits' block-diagonal
+    /// [`paragraph_gnn::GraphBatch`] union (a lone circuit runs on its
+    /// own graph), and Algorithm 2 then selects per net, per circuit.
+    ///
+    /// Returns the predictions (indexed by net id, `None` on rails), the
+    /// wall-clock split between the graph builds plus every member's
+    /// renormalisation and every member's forward pass, and per circuit
+    /// how many nets each member won (ascending `max_v` order). The
+    /// predictions equal predicting each circuit alone.
+    pub fn predict_circuits(
         &self,
-        circuit: &Circuit,
-    ) -> (Vec<Option<f64>>, crate::PredictProfile, Vec<u64>) {
-        let us = |t: std::time::Instant| t.elapsed().as_secs_f64() * 1e6;
-        let start = std::time::Instant::now();
-        let mut cg = build_graph(circuit);
-        let mut profile = crate::PredictProfile {
-            graph_build_us: us(start),
+        circuits: &[&Circuit],
+    ) -> (CircuitPredictions, PredictProfile, Vec<Vec<u64>>) {
+        let started = Instant::now();
+        let mut cgs: Vec<CircuitGraph> = circuits.iter().map(|c| build_graph(c)).collect();
+        let mut profile = PredictProfile {
+            graph_build_us: elapsed_us(started),
             inference_us: 0.0,
         };
-        let per_model: Vec<Vec<Option<f64>>> = self
-            .models
-            .iter()
-            .map(|m| {
-                let start = std::time::Instant::now();
-                cg.normalize(&m.norm);
-                profile.graph_build_us += us(start);
-                let start = std::time::Instant::now();
-                let preds = m.predict_graph(circuit, &cg);
-                profile.inference_us += us(start);
-                preds
-            })
-            .collect();
-        let mut selected = vec![0u64; self.models.len()];
-        let preds = (0..circuit.num_nets())
-            .map(|net| {
-                let preds: Option<Vec<f64>> = per_model.iter().map(|pm| pm[net]).collect();
-                preds.map(|p| {
-                    let i = self.select_index(&p);
-                    selected[i] += 1;
-                    p[i]
-                })
-            })
-            .collect();
-        (preds, profile, selected)
-    }
-
-    /// Predicts every net's capacitance for several fresh schematics at
-    /// once. Each circuit's graph is built once and renormalised per
-    /// member, as in [`CapEnsemble::predict_circuit`]; each member runs
-    /// one forward pass over the circuits' block-diagonal
-    /// [`paragraph_gnn::GraphBatch`] union instead of one pass per
-    /// circuit; Algorithm 2 then selects per net, per circuit. The result
-    /// equals calling [`CapEnsemble::predict_circuit`] on each circuit.
-    pub fn predict_circuits(&self, circuits: &[&Circuit]) -> Vec<Vec<Option<f64>>> {
-        if circuits.is_empty() {
-            return Vec::new();
-        }
-        let mut cgs: Vec<CircuitGraph> = circuits.iter().map(|c| build_graph(c)).collect();
         // per_model[m][c][net]
         let per_model: Vec<Vec<Vec<Option<f64>>>> = self
             .models
             .iter()
             .map(|m| {
+                let started = Instant::now();
                 for cg in &mut cgs {
                     cg.normalize(&m.norm);
                 }
-                m.predict_graphs(circuits, &cgs)
+                profile.graph_build_us += elapsed_us(started);
+                let started = Instant::now();
+                let preds = m.predict_graphs(circuits, &cgs);
+                profile.inference_us += elapsed_us(started);
+                preds
             })
             .collect();
-        circuits
-            .iter()
-            .enumerate()
-            .map(|(ci, circuit)| {
-                (0..circuit.num_nets())
-                    .map(|net| {
-                        let preds: Option<Vec<f64>> =
-                            per_model.iter().map(|pm| pm[ci][net]).collect();
-                        preds.map(|p| self.select(&p))
-                    })
-                    .collect()
+        let (preds, selected) = (0..circuits.len())
+            .map(|c| {
+                let per_member: Vec<&[Option<f64>]> =
+                    per_model.iter().map(|pm| pm[c].as_slice()).collect();
+                self.select_nets(&per_member)
             })
-            .collect()
+            .unzip();
+        (preds, profile, selected)
     }
 }
 
@@ -428,7 +402,7 @@ mod tests {
             .map(|s| parse_spice(s).unwrap().flatten().unwrap())
             .collect();
         let refs: Vec<&paragraph_netlist::Circuit> = circuits.iter().collect();
-        let batched = ens.predict_circuits(&refs);
+        let (batched, _, _) = ens.predict_circuits(&refs);
         assert_eq!(batched.len(), circuits.len());
         for (c, got) in circuits.iter().zip(&batched) {
             let sequential = ens.predict_circuit(c);
@@ -436,23 +410,33 @@ mod tests {
         }
     }
 
-    /// The profiled path runs the same call chain as the plain one —
-    /// predictions must match bit for bit, and the selection counts
-    /// must cover exactly the signal nets.
+    /// Batched or lone, `predict_circuits` returns the plain
+    /// predictions together with the stage timings and, per circuit,
+    /// member counts that cover exactly the nets predicted.
     #[test]
-    fn profiled_prediction_matches_and_attributes_members() {
+    fn predict_circuits_times_and_attributes_members() {
         let ens = CapEnsemble::new(tiny_models(&[1e-15, 10e-15, 100e-15]));
-        let c = parse_spice("mp o i vdd vdd pch nf=2\nmn o i vss vss nch\nr1 o f 10k\n.end\n")
-            .unwrap()
-            .flatten()
-            .unwrap();
-        let plain = ens.predict_circuit(&c);
-        let (profiled, profile, selected) = ens.predict_circuit_profiled(&c);
-        assert_eq!(plain, profiled, "profiling changed predictions");
-        assert!(profile.graph_build_us >= 0.0 && profile.inference_us > 0.0);
-        let nets_predicted = plain.iter().flatten().count() as u64;
-        assert_eq!(selected.iter().sum::<u64>(), nets_predicted);
-        assert_eq!(selected.len(), ens.members().len());
+        let circuits: Vec<_> = [
+            "mp o i vdd vdd pch nf=2\nmn o i vss vss nch\nr1 o f 10k\n.end\n",
+            "mn1 d g s vss nch nfin=4\nc1 d vss 10f\n.end\n",
+        ]
+        .iter()
+        .map(|s| parse_spice(s).unwrap().flatten().unwrap())
+        .collect();
+        for width in [1, 2] {
+            let refs: Vec<&paragraph_netlist::Circuit> = circuits[..width].iter().collect();
+            let (preds, profile, selected) = ens.predict_circuits(&refs);
+            assert!(profile.graph_build_us > 0.0 && profile.inference_us > 0.0);
+            assert_eq!(selected.len(), width);
+            for ((c, got), counts) in circuits.iter().zip(&preds).zip(&selected) {
+                let plain = ens.predict_circuit(c);
+                assert_eq!(&plain, got, "timing changed predictions");
+                let nets_predicted = plain.iter().flatten().count() as u64;
+                assert!(nets_predicted > 0);
+                assert_eq!(counts.iter().sum::<u64>(), nets_predicted);
+                assert_eq!(counts.len(), ens.members().len());
+            }
+        }
     }
 
     #[test]

@@ -74,10 +74,10 @@ pub use graphbuild::{
 pub use paragraph_exec::{CompileError, Precision};
 pub use persist::{LoadModelError, SavedModel};
 pub use pipeline::{
-    evaluate_model, executor_default, fit_norm, normalize_circuits, precision_default,
-    prepare_circuits, set_executor_default, set_precision_default, train_models, BaselineKind,
-    BaselineModel, EvalPairs, EvalSummary, ExecutorMode, FitConfig, GnnKind, PredictProfile,
-    PreparedCircuit, TargetModel, TrainSpec,
+    evaluate_model, fit_norm, normalize_circuits, precision_default, prepare_circuits,
+    set_precision_default, train_models, BaselineKind, BaselineModel, CircuitPredictions,
+    EvalPairs, EvalSummary, FitConfig, GnnKind, PredictProfile, PreparedCircuit, TargetModel,
+    TrainSpec,
 };
 pub use targets::{label_node_types, target_labels, Target, TargetLabels};
 

@@ -9,7 +9,7 @@ use paragraph_exec::Precision;
 use crate::baseline::BaselineStats;
 use crate::features::FeatureNorm;
 use crate::graphbuild::circuit_schema;
-use crate::pipeline::{CompiledCell, ExecutorMode, FitConfig, TargetModel};
+use crate::pipeline::{FitConfig, TargetModel};
 use crate::targets::Target;
 
 /// Error from loading a saved model.
@@ -138,10 +138,9 @@ impl SavedModel {
             norm: self.norm,
             baseline: self.baseline,
             model: gnn,
-            executor: ExecutorMode::Auto,
             precision,
             calibration,
-            compiled: CompiledCell::default(),
+            compiled: std::sync::OnceLock::new(),
         })
     }
 

@@ -7,11 +7,10 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use paragraph_exec::{Calibration, CompileError, CompiledModel, Precision};
-use paragraph_gnn::{
-    GnnModel, GraphBatch, GraphTask, HeteroGraph, ModelConfig, TrainConfig, Trainer,
-};
+use paragraph_gnn::{GnnModel, GraphTask, HeteroGraph, ModelConfig, TrainConfig, Trainer};
 use paragraph_layout::{extract, LayoutConfig, LayoutTruth};
 use paragraph_ml::{Gbt, GbtConfig, LinearRegression};
 use paragraph_netlist::Circuit;
@@ -152,86 +151,6 @@ impl FitConfig {
     }
 }
 
-/// Which inference path a [`TargetModel`] uses for its forward passes.
-///
-/// The tape-free compiled executor ([`paragraph_exec::CompiledModel`])
-/// is bitwise-identical to the autograd tape forward, so switching modes
-/// never changes predictions — only per-request allocation and latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorMode {
-    /// Always use the compiled executor; panics if the model cannot be
-    /// compiled (an explicit opt-in for deployment).
-    On,
-    /// Always use the autograd tape forward (the reference path).
-    Off,
-    /// Use the compiled executor when compilation succeeds, otherwise
-    /// fall back to the tape — further gated by the process-wide default
-    /// (see [`set_executor_default`] / `PARAGRAPH_EXECUTOR`).
-    #[default]
-    Auto,
-}
-
-impl ExecutorMode {
-    /// Parses the `--executor` flag / `PARAGRAPH_EXECUTOR` env values:
-    /// `on`/`1`/`true`, `off`/`0`/`false`, or `auto`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "on" | "1" | "true" => Some(Self::On),
-            "off" | "0" | "false" => Some(Self::Off),
-            "auto" => Some(Self::Auto),
-            _ => None,
-        }
-    }
-
-    /// Flag-style name (`on`, `off`, `auto`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::On => "on",
-            Self::Off => "off",
-            Self::Auto => "auto",
-        }
-    }
-}
-
-/// Process-wide executor default: `u8::MAX` = not yet initialised (read
-/// `PARAGRAPH_EXECUTOR` lazily), else an [`ExecutorMode`] discriminant.
-static EXECUTOR_DEFAULT: AtomicU8 = AtomicU8::new(u8::MAX);
-
-fn mode_to_u8(mode: ExecutorMode) -> u8 {
-    match mode {
-        ExecutorMode::On => 0,
-        ExecutorMode::Off => 1,
-        ExecutorMode::Auto => 2,
-    }
-}
-
-/// Sets the process-wide default inference path for models whose own
-/// `executor` field is [`ExecutorMode::Auto`]. Used by the CLI's
-/// `--executor` flag; overrides any `PARAGRAPH_EXECUTOR` env value.
-pub fn set_executor_default(mode: ExecutorMode) {
-    EXECUTOR_DEFAULT.store(mode_to_u8(mode), Ordering::Relaxed);
-}
-
-/// The process-wide default inference path: whatever
-/// [`set_executor_default`] stored, else the `PARAGRAPH_EXECUTOR`
-/// environment variable (`on`/`off`/`auto`, also `1`/`0`), else
-/// [`ExecutorMode::Auto`].
-pub fn executor_default() -> ExecutorMode {
-    match EXECUTOR_DEFAULT.load(Ordering::Relaxed) {
-        0 => ExecutorMode::On,
-        1 => ExecutorMode::Off,
-        2 => ExecutorMode::Auto,
-        _ => {
-            let mode = std::env::var("PARAGRAPH_EXECUTOR")
-                .ok()
-                .and_then(|v| ExecutorMode::parse(&v))
-                .unwrap_or(ExecutorMode::Auto);
-            EXECUTOR_DEFAULT.store(mode_to_u8(mode), Ordering::Relaxed);
-            mode
-        }
-    }
-}
-
 /// Process-wide precision default: `u8::MAX` = not yet initialised
 /// (read `PARAGRAPH_PRECISION` lazily), else a [`Precision`]
 /// discriminant.
@@ -271,37 +190,6 @@ pub fn precision_default() -> Precision {
     }
 }
 
-/// Lazily compiled executor attached to a [`TargetModel`].
-///
-/// `Err` inside the lock means compilation was attempted and failed
-/// with the stored reason (the model falls back to the tape path, and
-/// the serving layer surfaces the reason in its health report).
-/// Cloning starts a fresh cell when the original is still uncompiled; a
-/// compiled executor is shared, which is sound because it snapshots the
-/// parameters.
-#[derive(Default)]
-pub(crate) struct CompiledCell(OnceLock<Result<Arc<CompiledModel>, CompileError>>);
-
-impl Clone for CompiledCell {
-    fn clone(&self) -> Self {
-        let cell = OnceLock::new();
-        if let Some(v) = self.0.get() {
-            let _ = cell.set(v.clone());
-        }
-        Self(cell)
-    }
-}
-
-impl std::fmt::Debug for CompiledCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0.get() {
-            None => write!(f, "CompiledCell(uncompiled)"),
-            Some(Err(e)) => write!(f, "CompiledCell(failed: {e})"),
-            Some(Ok(_)) => write!(f, "CompiledCell(compiled)"),
-        }
-    }
-}
-
 /// A trained per-target GNN model plus everything needed to apply it to a
 /// fresh schematic.
 #[derive(Debug, Clone)]
@@ -318,9 +206,6 @@ pub struct TargetModel {
     /// training time for serve-side drift monitoring. `None` on models
     /// restored from artifacts that predate baseline capture.
     pub baseline: Option<BaselineStats>,
-    /// Inference path selection for this model (default
-    /// [`ExecutorMode::Auto`]).
-    pub executor: ExecutorMode,
     /// Numeric precision for the compiled path. `None` follows the
     /// process-wide default ([`precision_default`] /
     /// `PARAGRAPH_PRECISION`); a pinned value wins over the default, so
@@ -333,11 +218,21 @@ pub struct TargetModel {
     /// calibration capture (int8 then falls back to dynamic scales).
     pub calibration: Option<Vec<f32>>,
     pub(crate) model: GnnModel,
-    pub(crate) compiled: CompiledCell,
+    /// The compiled executor, once [`TargetModel::compile`] ran (`Err`
+    /// keeps the reason compilation failed). A clone of a compiled model
+    /// shares its executor, which is sound because the executor
+    /// snapshots the parameters.
+    pub(crate) compiled: OnceLock<Result<Arc<CompiledModel>, CompileError>>,
 }
 
-/// Wall-clock breakdown of one profiled circuit prediction, split at
-/// the stage boundary the serving layer reports: graph construction +
+/// What a `predict_circuits` call returns per circuit: one value per
+/// net (net targets) or device (device targets), `None` where the
+/// target does not apply.
+pub type CircuitPredictions = Vec<Vec<Option<f64>>>;
+
+/// Wall-clock breakdown of one [`TargetModel::predict_circuits`] or
+/// [`crate::CapEnsemble::predict_circuits`] call, split at the stage
+/// boundary the serving layer reports: graph construction +
 /// normalisation vs the GNN forward pass (including unscale/scatter).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PredictProfile {
@@ -434,11 +329,10 @@ impl TargetModel {
                 fit,
                 norm: clone_norm(norm),
                 baseline,
-                executor: ExecutorMode::Auto,
                 precision: None,
                 calibration,
                 model,
-                compiled: CompiledCell::default(),
+                compiled: OnceLock::new(),
             },
             final_loss,
         )
@@ -510,12 +404,13 @@ impl TargetModel {
                 max_value,
                 fit: fit.clone(),
                 norm: clone_norm(norm),
-                baseline: None,              // per-epoch probe: skip the stats pass
-                executor: ExecutorMode::Off, // probe once, no compile cost
-                precision: None,
+                baseline: None, // per-epoch probe: skip the stats pass
+                // f32 is bitwise equal to the tape, so the probe scores
+                // what training sees whatever the process default is.
+                precision: Some(Precision::F32),
                 calibration: None,
                 model: gnn.clone(),
-                compiled: CompiledCell::default(),
+                compiled: OnceLock::new(),
             };
             let r2 = evaluate_model(&probe, validation, max_value).summary().r2;
             if r2 > best_r2 {
@@ -539,61 +434,34 @@ impl TargetModel {
                 fit,
                 norm: clone_norm(norm),
                 baseline,
-                executor: ExecutorMode::Auto,
                 precision: None,
                 calibration,
                 model: gnn,
-                compiled: CompiledCell::default(),
+                compiled: OnceLock::new(),
             },
             best_r2,
         )
     }
 
     /// Predicts physical-unit values for the labelled nodes of a prepared
-    /// circuit; returns `(node, prediction)` pairs. Dispatches through
-    /// the same executor/precision selection as the circuit paths.
+    /// circuit; returns `(node, prediction)` pairs.
     pub fn predict_nodes(&self, pc: &PreparedCircuit, nodes: Vec<u32>) -> Vec<(u32, f64)> {
-        if nodes.is_empty() {
-            return Vec::new();
-        }
-        let preds = self.predict_scores(&pc.graph.graph, &nodes);
+        let scores = self.predict_scores(&pc.graph.graph, &nodes);
         nodes
-            .iter()
-            .zip(preds)
-            .map(|(&n, p)| (n, self.target.unscale_with(self.max_value, p)))
+            .into_iter()
+            .zip(scores)
+            .map(|(n, p)| (n, self.target.unscale_with(self.max_value, p)))
             .collect()
     }
 
     /// Predicts this model's target for every applicable node of a fresh
     /// schematic (graph built and normalised internally). For `CAP` the
     /// result is indexed by net id (`None` on rails); for device targets
-    /// by device id (`None` on non-MOSFETs).
+    /// by device id (`None` on non-MOSFETs). The single result of
+    /// [`TargetModel::predict_circuits`] on `[circuit]`.
     pub fn predict_circuit(&self, circuit: &Circuit) -> Vec<Option<f64>> {
-        let mut cg = build_graph(circuit);
-        cg.normalize(&self.norm);
-        self.predict_graph(circuit, &cg)
-    }
-
-    /// [`TargetModel::predict_circuit`] with a per-stage wall-clock
-    /// breakdown. Runs the exact same call chain — the returned
-    /// predictions are bitwise identical to the unprofiled path.
-    pub fn predict_circuit_profiled(
-        &self,
-        circuit: &Circuit,
-    ) -> (Vec<Option<f64>>, PredictProfile) {
-        let start = std::time::Instant::now();
-        let mut cg = build_graph(circuit);
-        cg.normalize(&self.norm);
-        let graph_build_us = start.elapsed().as_secs_f64() * 1e6;
-        let infer = std::time::Instant::now();
-        let preds = self.predict_graph(circuit, &cg);
-        (
-            preds,
-            PredictProfile {
-                graph_build_us,
-                inference_us: infer.elapsed().as_secs_f64() * 1e6,
-            },
-        )
+        let (mut preds, _) = self.predict_circuits(&[circuit]);
+        preds.pop().expect("one prediction per circuit")
     }
 
     /// Number of trainable scalars in the underlying GNN.
@@ -605,15 +473,18 @@ impl TargetModel {
     /// normalised graph.
     pub fn predict_graph(&self, circuit: &Circuit, cg: &CircuitGraph) -> Vec<Option<f64>> {
         let nodes = self.query_nodes(circuit, cg);
-        let preds = self.predict_for(cg, nodes);
-        self.scatter_predictions(circuit, cg, preds)
+        let scores = self.predict_scores(&cg.graph, &nodes);
+        self.scatter_predictions(circuit, cg, &nodes, &scores)
     }
 
-    /// Predicts every applicable node of several fresh schematics in one
-    /// forward pass over their block-diagonal [`GraphBatch`] union, then
-    /// splits the results back per circuit — exactly equal to calling
-    /// [`TargetModel::predict_circuit`] on each.
-    pub fn predict_circuits(&self, circuits: &[&Circuit]) -> Vec<Vec<Option<f64>>> {
+    /// Predicts every applicable node of several fresh schematics, laid
+    /// out per circuit like [`TargetModel::predict_circuit`], with the
+    /// wall-clock split between building and normalising the graphs and
+    /// the forward pass. Several circuits share one forward pass over
+    /// their block-diagonal [`paragraph_gnn::GraphBatch`] union; the
+    /// results are exactly equal to predicting each circuit alone.
+    pub fn predict_circuits(&self, circuits: &[&Circuit]) -> (CircuitPredictions, PredictProfile) {
+        let started = Instant::now();
         let cgs: Vec<CircuitGraph> = circuits
             .iter()
             .map(|c| {
@@ -622,7 +493,14 @@ impl TargetModel {
                 cg
             })
             .collect();
-        self.predict_graphs(circuits, &cgs)
+        let graph_build_us = elapsed_us(started);
+        let started = Instant::now();
+        let preds = self.predict_graphs(circuits, &cgs);
+        let profile = PredictProfile {
+            graph_build_us,
+            inference_us: elapsed_us(started),
+        };
+        (preds, profile)
     }
 
     /// [`TargetModel::predict_circuits`] over graphs already built and
@@ -638,31 +516,22 @@ impl TargetModel {
             _ => {}
         }
         let _span = paragraph_obs::span!("predict_circuits", circuits = circuits.len());
-        let graphs: Vec<&paragraph_gnn::HeteroGraph> = cgs.iter().map(|cg| &cg.graph).collect();
+        let graphs: Vec<&HeteroGraph> = cgs.iter().map(|cg| &cg.graph).collect();
         let per_circuit: Vec<Vec<u32>> = circuits
             .iter()
             .zip(cgs)
             .map(|(c, cg)| self.query_nodes(c, cg))
             .collect();
-        let total: usize = per_circuit.iter().map(Vec::len).sum();
-        let preds = if total == 0 {
-            Vec::new()
-        } else {
-            self.predict_scores_batch(&graphs, &per_circuit)
-        };
+        let scores = self.predict_scores_batch(&graphs, &per_circuit);
         let mut off = 0;
         circuits
             .iter()
             .zip(cgs)
-            .zip(per_circuit)
+            .zip(&per_circuit)
             .map(|((c, cg), nodes)| {
-                let pairs: Vec<(u32, f64)> = nodes
-                    .iter()
-                    .zip(&preds[off..off + nodes.len()])
-                    .map(|(&n, &p)| (n, self.target.unscale_with(self.max_value, p)))
-                    .collect();
+                let own = &scores[off..off + nodes.len()];
                 off += nodes.len();
-                self.scatter_predictions(c, cg, pairs)
+                self.scatter_predictions(c, cg, nodes, own)
             })
             .collect()
     }
@@ -682,16 +551,21 @@ impl TargetModel {
         }
     }
 
-    /// Lays `(node, value)` predictions back out per net (for net
-    /// targets) or per device (for device targets), `None` where the
-    /// target does not apply.
+    /// Unscales `scores[i]` (the prediction for `nodes[i]`) to physical
+    /// units and lays them out per net (for net targets) or per device
+    /// (for device targets), `None` where the target does not apply.
     fn scatter_predictions(
         &self,
         circuit: &Circuit,
         cg: &CircuitGraph,
-        preds: Vec<(u32, f64)>,
+        nodes: &[u32],
+        scores: &[f32],
     ) -> Vec<Option<f64>> {
-        let by_node: std::collections::HashMap<u32, f64> = preds.into_iter().collect();
+        let by_node: std::collections::HashMap<u32, f64> = nodes
+            .iter()
+            .zip(scores)
+            .map(|(&n, &p)| (n, self.target.unscale_with(self.max_value, p)))
+            .collect();
         if self.target.on_nets() {
             cg.net_node
                 .iter()
@@ -702,18 +576,6 @@ impl TargetModel {
                 .map(|i| by_node.get(&cg.device_node[i]).copied())
                 .collect()
         }
-    }
-
-    fn predict_for(&self, cg: &CircuitGraph, nodes: Vec<u32>) -> Vec<(u32, f64)> {
-        if nodes.is_empty() {
-            return Vec::new();
-        }
-        let preds = self.predict_scores(&cg.graph, &nodes);
-        nodes
-            .iter()
-            .zip(preds)
-            .map(|(&n, p)| (n, self.target.unscale_with(self.max_value, p)))
-            .collect()
     }
 
     /// Predicts `(physical mean, log-space sigma)` per labelled node of a
@@ -754,17 +616,26 @@ impl TargetModel {
         self.model.embeddings(&pc.graph.graph)
     }
 
-    /// The underlying GNN (for parameter export).
+    /// The underlying GNN (for parameter export, and as the autograd
+    /// tape reference the executor is checked against).
     pub fn gnn(&self) -> &GnnModel {
         &self.model
     }
 
-    /// The lazily compiled executor, or `None` if compilation failed.
-    /// Compiles at this model's effective precision, passing the cached
-    /// calibration table along for int8 activation scales.
-    fn compiled(&self) -> Option<&Arc<CompiledModel>> {
+    /// Compiles this model's executor at its effective precision, passing
+    /// the cached calibration table along for int8 activation scales.
+    /// Compiles once: later calls return the first outcome, and every
+    /// prediction runs on the compiled executor. The serving registry
+    /// calls this when it loads a model, so a model that does not
+    /// compile fails the load instead of a request.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`CompileError`] when the model's shapes are
+    /// inconsistent, a parameter or calibration site is missing, or a
+    /// weight is not finite at f16/int8.
+    pub fn compile(&self) -> Result<&CompiledModel, CompileError> {
         self.compiled
-            .0
             .get_or_init(|| {
                 let calibration = self
                     .calibration
@@ -777,18 +648,23 @@ impl TargetModel {
                 )
                 .map(Arc::new)
             })
-            .as_ref()
-            .ok()
+            .as_deref()
+            .map_err(Clone::clone)
     }
 
-    /// This model's effective inference mode: its own `executor` field,
-    /// with [`ExecutorMode::Auto`] resolved against the process-wide
-    /// default ([`executor_default`]).
-    fn effective_executor(&self) -> ExecutorMode {
-        match self.executor {
-            ExecutorMode::Auto => executor_default(),
-            mode => mode,
-        }
+    /// The compiled executor.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`CompileError`] if the model does not compile.
+    fn executor(&self) -> &CompiledModel {
+        self.compile().unwrap_or_else(|e| {
+            panic!(
+                "{}/{} does not compile: {e}",
+                self.fit.kind.name(),
+                self.target.name()
+            )
+        })
     }
 
     /// This model's effective compiled-path precision: its own
@@ -798,114 +674,36 @@ impl TargetModel {
         self.precision.unwrap_or_else(precision_default)
     }
 
-    /// Flag-style name of the precision circuit predictions run at:
-    /// the effective precision when the compiled path is in use, `f32`
-    /// when predictions fall back to the tape.
-    pub fn precision_name(&self) -> &'static str {
-        if self.uses_executor() {
-            self.effective_precision().name()
-        } else {
-            Precision::F32.name()
+    /// Scaled-space forward pass on the compiled executor. At
+    /// [`Precision::F32`] it is bitwise identical to the autograd tape
+    /// (pinned by the `paragraph-exec` parity suite and the
+    /// golden-metrics tests); at reduced precision it tracks the tape
+    /// within the documented quantization tolerances instead.
+    fn predict_scores(&self, graph: &HeteroGraph, nodes: &[u32]) -> Vec<f32> {
+        if nodes.is_empty() {
+            return Vec::new();
         }
-    }
-
-    /// Why the compiled path is unavailable for this model, if
-    /// compilation was attempted and failed (the serving layer surfaces
-    /// this in its health report). `None` while the model compiles
-    /// cleanly or when the executor is forced off (nothing to fall back
-    /// from).
-    pub fn compile_fallback(&self) -> Option<String> {
-        if self.effective_executor() == ExecutorMode::Off {
-            return None;
-        }
-        let _ = self.compiled();
-        self.compiled
-            .0
-            .get()
-            .and_then(|r| r.as_ref().err())
-            .map(|e| e.to_string())
-    }
-
-    /// Whether circuit predictions currently run on the compiled
-    /// tape-free executor (vs the autograd tape). Used by the serving
-    /// layer to label per-path metrics.
-    pub fn uses_executor(&self) -> bool {
-        match self.effective_executor() {
-            ExecutorMode::Off => false,
-            ExecutorMode::On => true,
-            ExecutorMode::Auto => self.compiled().is_some(),
-        }
-    }
-
-    /// Scaled-space forward pass, dispatched to the executor or the
-    /// tape per [`TargetModel::uses_executor`]. At [`Precision::F32`]
-    /// both paths are bitwise identical (pinned by the `paragraph-exec`
-    /// parity suite and the golden-metrics tests); at reduced precision
-    /// the compiled path tracks the tape within the documented
-    /// quantization tolerances instead.
-    fn predict_scores(&self, graph: &paragraph_gnn::HeteroGraph, nodes: &[u32]) -> Vec<f32> {
-        match self.effective_executor() {
-            ExecutorMode::Off => self
-                .model
-                .predict(graph, &std::sync::Arc::new(nodes.to_vec())),
-            ExecutorMode::On => {
-                let compiled = self.compiled().unwrap_or_else(|| {
-                    panic!(
-                        "executor forced on, but {}/{} does not compile",
-                        self.fit.kind.name(),
-                        self.target.name()
-                    )
-                });
-                compiled.predict(graph, nodes)
-            }
-            ExecutorMode::Auto => match self.compiled() {
-                Some(compiled) => compiled.predict(graph, nodes),
-                None => self
-                    .model
-                    .predict(graph, &std::sync::Arc::new(nodes.to_vec())),
-            },
-        }
+        self.executor().predict(graph, nodes)
     }
 
     /// Scaled-space forward pass over several graphs at once, returning
-    /// the per-graph predictions concatenated in member order.
-    ///
-    /// When the executor is active this dispatches to
-    /// [`CompiledModel::predict_batch_into`], whose pooled scratch
-    /// rebuilds the block-diagonal union (graph, plan, and node gather)
-    /// in place — zero steady-state heap allocation per batch. The tape
-    /// fallback builds a fresh [`GraphBatch`] and runs one merged
-    /// forward, numerically identical (the union CSR sort is stable and
-    /// every kernel is row/segment independent).
-    fn predict_scores_batch(
-        &self,
-        graphs: &[&paragraph_gnn::HeteroGraph],
-        per_graph: &[Vec<u32>],
-    ) -> Vec<f32> {
-        let compiled = match self.effective_executor() {
-            ExecutorMode::Off => None,
-            ExecutorMode::On => Some(self.compiled().unwrap_or_else(|| {
-                panic!(
-                    "executor forced on, but {}/{} does not compile",
-                    self.fit.kind.name(),
-                    self.target.name()
-                )
-            })),
-            ExecutorMode::Auto => self.compiled(),
-        };
-        if let Some(compiled) = compiled {
-            let mut out = Vec::new();
-            compiled.predict_batch_into(graphs, per_graph, &mut out);
-            return out;
+    /// the per-graph predictions concatenated in member order. The
+    /// executor's pooled scratch rebuilds the block-diagonal union
+    /// (graph, plan, and node gather) in place — zero steady-state heap
+    /// allocation per batch.
+    fn predict_scores_batch(&self, graphs: &[&HeteroGraph], per_graph: &[Vec<u32>]) -> Vec<f32> {
+        let mut out = Vec::new();
+        if per_graph.iter().any(|nodes| !nodes.is_empty()) {
+            self.executor()
+                .predict_batch_into(graphs, per_graph, &mut out);
         }
-        let batch = GraphBatch::new(graphs);
-        let mut merged = Vec::with_capacity(per_graph.iter().map(Vec::len).sum());
-        for (i, nodes) in per_graph.iter().enumerate() {
-            merged.extend(nodes.iter().map(|&n| batch.global_node(i, n)));
-        }
-        self.model
-            .predict(batch.graph(), &std::sync::Arc::new(merged))
+        out
     }
+}
+
+/// Microseconds elapsed since `started`.
+pub(crate) fn elapsed_us(started: Instant) -> f64 {
+    started.elapsed().as_secs_f64() * 1e6
 }
 
 fn clone_norm(norm: &FeatureNorm) -> FeatureNorm {
@@ -1324,20 +1122,24 @@ mod tests {
             let (model, _) = TargetModel::train(&prepared, target, None, fit, &norm);
             let circuits: Vec<&paragraph_netlist::Circuit> =
                 prepared.iter().map(|pc| &pc.circuit).collect();
-            let batched = model.predict_circuits(&circuits);
+            let (batched, profile) = model.predict_circuits(&circuits);
             assert_eq!(batched.len(), circuits.len());
+            assert!(profile.graph_build_us > 0.0 && profile.inference_us > 0.0);
             for (pc, got) in prepared.iter().zip(&batched) {
                 let sequential = model.predict_circuit(&pc.circuit);
                 assert_eq!(&sequential, got, "{} on {}", target.name(), pc.name);
             }
         }
-        // Degenerate widths pass through the single-circuit path.
+        // Degenerate widths: nothing in, nothing out; one circuit takes
+        // the lone-graph path, which equals predicting its graph.
         let mut fit = FitConfig::quick(GnnKind::Gcn);
         fit.epochs = 1;
         let (model, _) = TargetModel::train(&prepared, Target::Cap, None, fit, &norm);
-        assert!(model.predict_circuits(&[]).is_empty());
-        let one = model.predict_circuits(&[&prepared[0].circuit]);
-        assert_eq!(one[0], model.predict_circuit(&prepared[0].circuit));
+        assert!(model.predict_circuits(&[]).0.is_empty());
+        let (one, _) = model.predict_circuits(&[&prepared[0].circuit]);
+        let mut cg = build_graph(&prepared[0].circuit);
+        cg.normalize(&norm);
+        assert_eq!(one, vec![model.predict_graph(&prepared[0].circuit, &cg)]);
     }
 
     /// Training with `graphs_per_batch > 1` must still learn (the loss
@@ -1395,10 +1197,10 @@ mod validation_tests {
         let (mut model, best_r2) =
             TargetModel::train_with_validation(&train, &val, Target::Sa, None, fit, &norm, 3);
         assert!(best_r2.is_finite());
-        // The per-epoch probes score on the f32 tape, so the equality
-        // below only holds at f32 — pin it so a process-wide
-        // PARAGRAPH_PRECISION override (the quantized CI job) cannot
-        // reroute the final evaluation through a quantized path.
+        // The per-epoch probes score at f32, so the equality below only
+        // holds at f32 — pin it so a process-wide PARAGRAPH_PRECISION
+        // override (the quantized CI job) cannot reroute the final
+        // evaluation through a quantized path.
         model.precision = Some(Precision::F32);
         // The returned model's validation R² equals the reported best.
         let again = evaluate_model(&model, &val, None).summary().r2;

@@ -94,9 +94,8 @@ impl fmt::Display for Precision {
 ///
 /// Compilation validates every shape the executor will rely on, so a
 /// `CompiledModel` can run without per-request checks; anything
-/// inconsistent is reported here instead (and lets an `auto` mode fall
-/// back to the tape path). The variants are structured so the serving
-/// layer can surface *why* a model fell back in its health report.
+/// inconsistent is reported here instead. The variants are structured
+/// so the serving layer can say *why* it refused to load a model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompileError {
     /// A model-level configuration inconsistency (dimensions, head
@@ -441,8 +440,7 @@ impl CompiledModel {
     /// # Errors
     ///
     /// Returns a [`CompileError`] naming the first inconsistent shape or
-    /// missing parameter; callers in `auto` mode fall back to the tape
-    /// path on error.
+    /// missing parameter.
     pub fn compile(model: &GnnModel) -> Result<Self, CompileError> {
         Self::compile_with(model, Precision::F32, None)
     }

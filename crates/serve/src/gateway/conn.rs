@@ -29,7 +29,7 @@ use crate::service::Submitted;
 enum Proto {
     /// Nothing but whitespace seen yet.
     Undecided,
-    /// The JSON-lines protocol served by the legacy acceptor.
+    /// The JSON-lines protocol: one response line per request line.
     JsonLines,
     /// HTTP/1.1 (or 1.0) keep-alive.
     Http,
@@ -259,8 +259,8 @@ impl Conn {
                     if line.last() == Some(&b'\r') {
                         line = &line[..line.len() - 1];
                     }
-                    // The legacy reader's `lines()` errors out on
-                    // invalid UTF-8 and drops the connection; match it.
+                    // A line that is not UTF-8 cannot be a request:
+                    // drop the connection.
                     let Ok(text) = std::str::from_utf8(line) else {
                         return false;
                     };

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use serde_json::{json, Value};
 
+use crate::metrics::PRECISION_NAMES;
 use crate::service::Service;
 
 /// How many retained traces the index and dashboard list (newest
@@ -253,34 +254,28 @@ fn render_batch_section(page: &mut String, snapshots: &[Value]) {
     page.push_str("</table>\n");
 }
 
-/// Per-precision rolling latency per shard (f32/f16/int8), plus the
-/// executor/tape split; precisions with no traffic are skipped.
+/// Per-precision rolling latency per shard (f32/f16/int8); precisions
+/// with no traffic are skipped.
 fn render_precision_section(page: &mut String, snapshots: &[Value]) {
     page.push_str(
-        "<h2>inference paths</h2>\
-         <table><tr><th class=\"l\">shard</th><th class=\"l\">path</th>\
+        "<h2>inference precisions</h2>\
+         <table><tr><th class=\"l\">shard</th><th class=\"l\">precision</th>\
          <th>requests</th>\
          <th>p50 &micro;s</th><th>p95 &micro;s</th><th>p99 &micro;s</th></tr>\n",
     );
     for (i, snap) in snapshots.iter().enumerate() {
-        let groups = [
-            ("paths", &["executor", "tape"][..]),
-            ("precisions", &["f32", "f16", "int8"][..]),
-        ];
-        for (section, names) in groups {
-            for name in names {
-                let p = &snap[section][*name];
-                if p["requests"].as_u64().unwrap_or(0) == 0 {
-                    continue;
-                }
-                let _ = write!(
-                    page,
-                    "<tr><td class=\"l\">{i}</td><td class=\"l\">{name}</td><td>{}</td>",
-                    p["requests"].as_u64().unwrap_or(0),
-                );
-                push_quantile_cells(page, &p["latency_rolling"]);
-                page.push_str("</tr>\n");
+        for name in PRECISION_NAMES {
+            let p = &snap["precisions"][name];
+            if p["requests"].as_u64().unwrap_or(0) == 0 {
+                continue;
             }
+            let _ = write!(
+                page,
+                "<tr><td class=\"l\">{i}</td><td class=\"l\">{name}</td><td>{}</td>",
+                p["requests"].as_u64().unwrap_or(0),
+            );
+            push_quantile_cells(page, &p["latency_rolling"]);
+            page.push_str("</tr>\n");
         }
     }
     page.push_str("</table>\n");

@@ -12,9 +12,8 @@
 //! Every connection speaks either HTTP/1.1 (`POST /predict`,
 //! `GET /health|/metrics|/metrics.json|/registry`, plus the live ops
 //! surface `GET /debug/traces[/<req-id>]|/debug/dashboard`) or the
-//! legacy JSON-lines protocol; the first non-whitespace byte decides
-//! (`{` can never start an HTTP method). Both protocols funnel into the
-//! same
+//! JSON-lines protocol; the first non-whitespace byte decides (`{` can
+//! never start an HTTP method). Both protocols funnel into the same
 //! [`Service::submit_line`] path, so response payloads are bit-identical
 //! across protocols and shard counts.
 //!

@@ -2,12 +2,13 @@
 //!
 //! A std-only concurrent inference service for ParaGraph models: load a
 //! directory of trained [`paragraph::SavedModel`] snapshots, then answer
-//! `predict`/`stats`/`erc` requests over a JSON-lines TCP protocol or
-//! through the in-process [`Service`] API.
+//! `predict`/`stats`/`erc` requests over HTTP/1.1 or the JSON-lines
+//! protocol on one TCP port, or through the in-process [`Service`] API.
 //!
 //! The moving parts:
 //!
-//! * [`ModelRegistry`] — loads and validates snapshots, assembles
+//! * [`ModelRegistry`] — loads, validates and compiles snapshots (a
+//!   model that does not compile is a load error), assembles
 //!   capacitance-range members into a [`paragraph::CapEnsemble`], and
 //!   hot-reloads atomically (in-flight requests keep their snapshot).
 //! * [`Service`] — a fixed worker pool (`std::thread` + `std::sync::mpsc`)
@@ -21,9 +22,7 @@
 //! * [`DriftMonitor`] — compares rolling windows of incoming circuit
 //!   features against the training baselines stored in each model
 //!   artifact; out-of-distribution traffic degrades the `health` op.
-//! * [`Server`] — `std::net::TcpListener` front end, one thread per
-//!   connection, one JSON response line per request line.
-//! * [`Gateway`] — sharded evented front end: N thread-per-core shards,
+//! * [`Gateway`] — the network front end: N thread-per-core shards,
 //!   each with its own [`Service`], speaking HTTP/1.1 keep-alive and
 //!   JSON-lines on one port via first-byte protocol sniffing.
 //!
@@ -48,7 +47,6 @@ mod gateway;
 mod metrics;
 mod protocol;
 mod registry;
-mod server;
 mod service;
 
 pub use cache::{fnv1a, PredictionCache};
@@ -59,5 +57,4 @@ pub use protocol::{error_response, ok_response, ErrorCode, Op, Request, ServeErr
 pub use registry::{
     LoadedModels, ModelRef, ModelRegistry, RegistryError, ReloadReport, ENSEMBLE_KEY,
 };
-pub use server::{Server, ServerHandle, DEFAULT_READ_TIMEOUT};
 pub use service::{PendingCall, Service, ServiceConfig, Submitted};

@@ -45,10 +45,10 @@ struct EndpointMetrics {
     rolling: Arc<RollingQuantile>,
 }
 
-/// Counters and rolling latency windows for one inference path
-/// (compiled executor or autograd tape).
+/// Counters and rolling latency windows for one compiled-path
+/// precision.
 #[derive(Debug)]
-struct PathMetrics {
+struct PrecisionMetrics {
     requests: Arc<Counter>,
     rolling: Arc<RollingQuantile>,
 }
@@ -67,9 +67,7 @@ pub const PRECISION_NAMES: [&str; 3] = ["f32", "f16", "int8"];
 pub struct Metrics {
     registry: Registry,
     endpoints: Vec<EndpointMetrics>,
-    executor_path: PathMetrics,
-    tape_path: PathMetrics,
-    precisions: Vec<PathMetrics>,
+    precisions: Vec<PrecisionMetrics>,
     queue_depth: Arc<Gauge>,
     batch_size: Arc<Histogram>,
     batches_formed: Arc<Counter>,
@@ -109,17 +107,9 @@ impl Metrics {
                 ),
             })
             .collect();
-        let path_metrics = |name: &'static str, path: &'static str| PathMetrics {
-            requests: registry.counter(name, &[]),
-            rolling: registry.rolling(
-                "paragraph_serve_predict_path_latency_us",
-                &[("path", path)],
-                ROLLING_WINDOW,
-            ),
-        };
         let precisions = PRECISION_NAMES
             .iter()
-            .map(|&p| PathMetrics {
+            .map(|&p| PrecisionMetrics {
                 requests: registry.counter(
                     "paragraph_serve_precision_requests_total",
                     &[("precision", p)],
@@ -133,8 +123,6 @@ impl Metrics {
             .collect();
         Self {
             endpoints,
-            executor_path: path_metrics("paragraph_serve_executor_requests_total", "executor"),
-            tape_path: path_metrics("paragraph_serve_tape_requests_total", "tape"),
             precisions,
             queue_depth: registry.gauge("paragraph_queue_depth", &[]),
             batch_size: registry.histogram("paragraph_serve_batch_size", &[], &BATCH_SIZE_BUCKETS),
@@ -172,21 +160,8 @@ impl Metrics {
         e.rolling.observe(us);
     }
 
-    /// Records which inference path (compiled executor vs autograd
-    /// tape) served a predict group, with its end-to-end latency.
-    /// Cache hits never reach this — only groups that ran inference.
-    pub fn record_path(&self, executor: bool, latency: Duration) {
-        let p = if executor {
-            &self.executor_path
-        } else {
-            &self.tape_path
-        };
-        p.requests.inc();
-        p.rolling.observe(latency.as_secs_f64() * 1e6);
-    }
-
     /// Records the numeric precision (`f32`/`f16`/`int8`) a predict
-    /// group's inference ran at, with its end-to-end latency. Unknown
+    /// group's inference ran at, with its inference latency. Unknown
     /// names are ignored (forward compatibility with new tiers).
     pub fn record_precision(&self, precision: &str, latency: Duration) {
         let Some(i) = PRECISION_NAMES.iter().position(|&p| p == precision) else {
@@ -231,16 +206,6 @@ impl Metrics {
     /// Jobs admitted by open admission windows so far.
     pub fn window_admitted_total(&self) -> u64 {
         self.window_admitted.get()
-    }
-
-    /// Requests served by the compiled executor path so far.
-    pub fn executor_requests(&self) -> u64 {
-        self.executor_path.requests.get()
-    }
-
-    /// Requests served by the autograd tape path so far.
-    pub fn tape_requests(&self) -> u64 {
-        self.tape_path.requests.get()
     }
 
     /// The service's own registry; the drift monitor and slow-request
@@ -314,7 +279,7 @@ impl Metrics {
                 })
             })
             .collect();
-        let path_json = |p: &PathMetrics| {
+        let precision_json = |p: &PrecisionMetrics| {
             let qs = p.rolling.quantiles(&RENDERED_QUANTILES);
             let rolling: Vec<Value> = RENDERED_QUANTILES
                 .iter()
@@ -341,14 +306,10 @@ impl Metrics {
             "queue_depth": self.queue_depth(),
             "bad_lines": self.bad_lines(),
             "endpoints": endpoints,
-            "paths": {
-                "executor": path_json(&self.executor_path),
-                "tape": path_json(&self.tape_path),
-            },
             "precisions": {
-                "f32": path_json(&self.precisions[0]),
-                "f16": path_json(&self.precisions[1]),
-                "int8": path_json(&self.precisions[2]),
+                "f32": precision_json(&self.precisions[0]),
+                "f16": precision_json(&self.precisions[1]),
+                "int8": precision_json(&self.precisions[2]),
             },
             "batching": {
                 "batches_formed": self.batches_formed(),
@@ -561,41 +522,6 @@ mod tests {
         // Ops with no traffic render null quantiles, not garbage.
         let idle = &snap["endpoints"][Op::Reload.index()]["latency_rolling"];
         assert!(idle[0]["latency_us"].is_null());
-    }
-
-    /// Executor-vs-tape path counters and their rolling windows render
-    /// and snapshot independently of the per-op endpoint families.
-    #[test]
-    fn path_metrics_track_executor_and_tape() {
-        let m = Metrics::new();
-        m.record_path(true, Duration::from_micros(40));
-        m.record_path(true, Duration::from_micros(60));
-        m.record_path(false, Duration::from_micros(500));
-        assert_eq!(m.executor_requests(), 2);
-        assert_eq!(m.tape_requests(), 1);
-        let cache = PredictionCache::new(1);
-        let text = m.render(&cache);
-        assert!(text.contains("paragraph_serve_executor_requests_total"));
-        assert!(text.contains("paragraph_serve_tape_requests_total"));
-        assert!(
-            text.contains(
-                "paragraph_serve_predict_path_latency_us{path=\"executor\",quantile=\"0.5\"} 40"
-            ),
-            "missing executor-path p50 in:\n{text}"
-        );
-        assert!(
-            text.contains(
-                "paragraph_serve_predict_path_latency_us{path=\"tape\",quantile=\"0.5\"} 500"
-            ),
-            "missing tape-path p50 in:\n{text}"
-        );
-        let snap = m.snapshot(&cache);
-        assert_eq!(snap["paths"]["executor"]["requests"].as_u64(), Some(2));
-        assert_eq!(snap["paths"]["tape"]["requests"].as_u64(), Some(1));
-        assert_eq!(
-            snap["paths"]["tape"]["latency_rolling"][0]["latency_us"].as_f64(),
-            Some(500.0)
-        );
     }
 
     /// Per-precision request counters and latency windows render under

@@ -1,6 +1,7 @@
 //! Model registry: loads a directory of [`SavedModel`] JSON snapshots,
-//! validates each against the circuit schema, assembles capacitance-range
-//! members into a [`CapEnsemble`], and supports atomic hot reload.
+//! validates each against the circuit schema, compiles each model's
+//! executor, assembles capacitance-range members into a [`CapEnsemble`],
+//! and supports atomic hot reload.
 //!
 //! Readers hold an [`Arc`] to an immutable [`LoadedModels`] snapshot;
 //! [`ModelRegistry::reload`] builds a complete new snapshot off to the
@@ -11,7 +12,10 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
-use paragraph::{CapEnsemble, ExecutorMode, Precision, SavedModel, TargetModel};
+use paragraph::{
+    CapEnsemble, CircuitPredictions, Precision, PredictProfile, SavedModel, TargetModel,
+};
+use paragraph_netlist::Circuit;
 
 /// Reserved model key that routes to the assembled [`CapEnsemble`].
 pub const ENSEMBLE_KEY: &str = "cap_ensemble";
@@ -48,14 +52,35 @@ pub enum ModelRef {
 }
 
 impl ModelRef {
-    /// Whether inference for this model currently runs on the compiled
-    /// tape-free executor (vs the autograd tape); used to label the
-    /// per-path serving metrics. Ensembles report their members' shared
-    /// mode (all members are stamped identically at load time).
-    pub fn uses_executor(&self) -> bool {
+    /// Predicts several circuits in one call through
+    /// [`TargetModel::predict_circuits`] or
+    /// [`CapEnsemble::predict_circuits`]: per circuit its predictions
+    /// and, for the ensemble, the `max_v` of the member Algorithm 2
+    /// picked for the most nets; plus the call's stage timings.
+    pub fn predict_circuits(
+        &self,
+        circuits: &[&Circuit],
+    ) -> (CircuitPredictions, PredictProfile, Vec<Option<f64>>) {
         match self {
-            ModelRef::Single(m) => m.uses_executor(),
-            ModelRef::Ensemble(e) => e.members().first().is_some_and(|m| m.uses_executor()),
+            ModelRef::Single(m) => {
+                let (preds, profile) = m.predict_circuits(circuits);
+                (preds, profile, vec![None; circuits.len()])
+            }
+            ModelRef::Ensemble(e) => {
+                let (preds, profile, selected) = e.predict_circuits(circuits);
+                let member_max_v = selected
+                    .iter()
+                    .map(|counts| {
+                        counts
+                            .iter()
+                            .enumerate()
+                            .max_by_key(|(_, &n)| n)
+                            .filter(|(_, &n)| n > 0)
+                            .and_then(|(i, _)| e.members()[i].max_value)
+                    })
+                    .collect();
+                (preds, profile, member_max_v)
+            }
         }
     }
 
@@ -63,14 +88,11 @@ impl ModelRef {
     /// at (`f32`/`f16`/`int8`); used to label the per-precision serving
     /// metrics. Ensembles report their members' shared precision.
     pub fn precision_name(&self) -> &'static str {
-        match self {
-            ModelRef::Single(m) => m.precision_name(),
-            ModelRef::Ensemble(e) => e
-                .members()
-                .first()
-                .map(|m| m.precision_name())
-                .unwrap_or("f32"),
-        }
+        let model = match self {
+            ModelRef::Single(m) => m,
+            ModelRef::Ensemble(e) => &e.members()[0],
+        };
+        model.effective_precision().name()
     }
 }
 
@@ -142,12 +164,15 @@ impl LoadedModels {
     }
 
     /// Builds a snapshot from in-memory models (no disk involved); used
-    /// by benches and in-process embedders.
+    /// by benches and in-process embedders. Every model is compiled here,
+    /// before the ensemble is assembled, so ensemble members share their
+    /// compiled executors with the single-model entries.
     ///
     /// # Errors
     ///
-    /// Returns [`RegistryError`] when ensemble assembly fails (e.g. two
-    /// CAP members share a `max_value`).
+    /// Returns [`RegistryError`] when a model does not compile (with the
+    /// [`paragraph::CompileError`]'s text) or ensemble assembly fails
+    /// (e.g. two CAP members share a `max_value`).
     pub fn from_models(
         named: impl IntoIterator<Item = (String, TargetModel)>,
     ) -> Result<Self, RegistryError> {
@@ -156,6 +181,9 @@ impl LoadedModels {
             if snapshot.models.contains_key(&name) {
                 return Err(RegistryError::new(format!("duplicate model key '{name}'")));
             }
+            model
+                .compile()
+                .map_err(|e| RegistryError::new(format!("model '{name}' does not compile: {e}")))?;
             snapshot.models.insert(name, Arc::new(model));
         }
         snapshot.assemble_ensemble()?;
@@ -200,61 +228,41 @@ pub struct ReloadReport {
 #[derive(Debug)]
 pub struct ModelRegistry {
     dir: Option<PathBuf>,
-    executor: ExecutorMode,
     precision: Option<Precision>,
     current: RwLock<Arc<LoadedModels>>,
 }
 
 impl ModelRegistry {
-    /// Loads every `*.json` snapshot under `dir` with the default
-    /// [`ExecutorMode::Auto`] inference path (compiled executor when the
-    /// model compiles, autograd tape otherwise — further gated by the
-    /// process-wide [`paragraph::executor_default`]).
+    /// Loads and compiles every `*.json` snapshot under `dir`, each at
+    /// its own precision pin or the process-wide default.
     ///
     /// # Errors
     ///
     /// Returns [`RegistryError`] when the directory cannot be read, any
-    /// snapshot fails to parse or validate against the circuit schema,
-    /// or ensemble assembly fails. Nothing is partially loaded.
+    /// snapshot fails to parse, validate against the circuit schema, or
+    /// compile, or ensemble assembly fails. Nothing is partially loaded.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, RegistryError> {
-        Self::open_with_executor(dir, ExecutorMode::Auto)
+        Self::open_with(dir, None)
     }
 
-    /// Like [`Self::open`] but stamps every loaded model (and ensemble
-    /// member) with `executor`. The mode is remembered and reapplied on
-    /// every [`Self::reload`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::open`].
-    pub fn open_with_executor(
-        dir: impl Into<PathBuf>,
-        executor: ExecutorMode,
-    ) -> Result<Self, RegistryError> {
-        Self::open_with(dir, executor, None)
-    }
-
-    /// Like [`Self::open_with_executor`], additionally stamping every
-    /// loaded model with a compiled-path `precision`. A model whose
-    /// artifact pins its own precision keeps the pin — so
-    /// accuracy-critical targets can stay `f32` while the rest of the
-    /// registry serves quantized. `None` leaves models on the
-    /// process-wide default. Both settings are remembered and reapplied
-    /// on every [`Self::reload`].
+    /// Like [`Self::open`], additionally stamping every loaded model with
+    /// a compiled-path `precision`. A model whose artifact pins its own
+    /// precision keeps the pin — so accuracy-critical targets can stay
+    /// `f32` while the rest of the registry serves quantized. `None`
+    /// leaves models on the process-wide default. The setting is
+    /// remembered and reapplied on every [`Self::reload`].
     ///
     /// # Errors
     ///
     /// Same conditions as [`Self::open`].
     pub fn open_with(
         dir: impl Into<PathBuf>,
-        executor: ExecutorMode,
         precision: Option<Precision>,
     ) -> Result<Self, RegistryError> {
         let dir = dir.into();
-        let snapshot = load_dir(&dir, executor, precision)?;
+        let snapshot = load_dir(&dir, precision)?;
         Ok(Self {
             dir: Some(dir),
-            executor,
             precision,
             current: RwLock::new(Arc::new(snapshot)),
         })
@@ -265,7 +273,6 @@ impl ModelRegistry {
     pub fn from_snapshot(snapshot: LoadedModels) -> Self {
         Self {
             dir: None,
-            executor: ExecutorMode::Auto,
             precision: None,
             current: RwLock::new(Arc::new(snapshot)),
         }
@@ -285,7 +292,7 @@ impl ModelRegistry {
     /// Same conditions as [`Self::open`].
     pub fn reload(&self) -> Result<ReloadReport, RegistryError> {
         let snapshot = match &self.dir {
-            Some(dir) => load_dir(dir, self.executor, self.precision)?,
+            Some(dir) => load_dir(dir, self.precision)?,
             None => return Ok(self.report()),
         };
         let report = ReloadReport {
@@ -305,11 +312,7 @@ impl ModelRegistry {
     }
 }
 
-fn load_dir(
-    dir: &Path,
-    executor: ExecutorMode,
-    precision: Option<Precision>,
-) -> Result<LoadedModels, RegistryError> {
+fn load_dir(dir: &Path, precision: Option<Precision>) -> Result<LoadedModels, RegistryError> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| RegistryError::new(format!("cannot read {}: {e}", dir.display())))?;
     let mut named = Vec::new();
@@ -334,7 +337,6 @@ fn load_dir(
         // covers both individual models and the assembled ensemble. An
         // artifact's own precision pin wins over the registry-wide
         // setting.
-        model.executor = executor;
         if model.precision.is_none() {
             model.precision = precision;
         }

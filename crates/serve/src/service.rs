@@ -2,7 +2,7 @@
 //! with per-request deadlines, panic isolation, caching, and metrics.
 //!
 //! [`Service::call`] is the single entry point both for in-process
-//! embedders and for the TCP front end ([`crate::server`]). Heavy
+//! embedders and for the network front end ([`crate::Gateway`]). Heavy
 //! operations (`predict`, `stats`, `erc`) are executed on the worker
 //! pool; control-plane operations (`health`, `metrics`, `reload`) are
 //! answered inline so they stay responsive when the queue is full.
@@ -667,10 +667,7 @@ impl Service {
                     "param_count": m.param_count(),
                     "max_value": opt(m.max_value),
                     "baseline_stats": m.baseline.is_some(),
-                    "precision": m.precision_name(),
-                    "compile_fallback": m
-                        .compile_fallback()
-                        .map_or(Value::Null, |reason| json!(reason)),
+                    "precision": m.effective_precision().name(),
                 })
             })
             .collect();
@@ -887,13 +884,11 @@ fn worker_loop(
                 // lands ahead of the submitter's retention decision.
                 let _ctx = job.ctx.as_ref().map(paragraph_obs::SpanContext::enter);
                 let _span = paragraph_obs::span!("execute", op = job.request.op.name());
-                catch_unwind(AssertUnwindSafe(|| {
-                    execute(&job.request, registry, cache, debug_ops)
-                }))
+                catch_unwind(AssertUnwindSafe(|| execute(&job.request, debug_ops)))
             };
             let exec_us = exec_started.elapsed().as_secs_f64() * 1e6;
             let mut response = match outcome {
-                Ok(Ok((result, cached))) => ok_response(&id, result, cached),
+                Ok(Ok(result)) => ok_response(&id, result, None),
                 Ok(Err(err)) => error_response(&id, &err),
                 Err(panic) => error_response(
                     &id,
@@ -941,23 +936,12 @@ struct PendingPredict {
     ood: bool,
 }
 
-/// How a model group's forward pass was timed, for stage attribution.
-enum GroupTiming {
-    /// Single job: exact graph-build / inference split (and, for the
-    /// ensemble, which member Algorithm 2 picked most often).
-    Profiled {
-        profile: paragraph::PredictProfile,
-        member_max_v: Option<f64>,
-    },
-    /// Batched forward pass over `n` circuits: only the shared total.
-    Batched { total_us: f64, n: usize },
-}
-
 /// Serves a drained batch of predict jobs: per-job parse / model
-/// resolution / cache lookup, then one batched forward pass per distinct
-/// model over the cache misses. Each job gets exactly the response the
-/// single-request path would have produced; a panic inside one model
-/// group fails only that group's jobs.
+/// resolution / cache lookup, then one `predict_circuits` call per
+/// distinct model over the cache misses (one forward pass per model
+/// over their block-diagonal union). Each job's answer equals serving
+/// it alone; a panic inside one model group fails only that group's
+/// jobs.
 fn predict_many(
     jobs: Vec<QueuedPredict>,
     registry: &Arc<ModelRegistry>,
@@ -1063,67 +1047,20 @@ fn predict_many(
         let outcome = {
             let _batch_guard = batch_ctx.as_ref().map(paragraph_obs::SpanContext::enter);
             let _span = paragraph_obs::span!("inference", model = key, jobs = pending.len());
-            catch_unwind(AssertUnwindSafe(|| {
-                if circuits.len() == 1 {
-                    // Lone job: the profiled path runs the identical
-                    // build_graph + predict_graph chain (bit-identical
-                    // output) while splitting the stage timings out.
-                    match &model {
-                        ModelRef::Single(m) => {
-                            let (preds, profile) = m.predict_circuit_profiled(circuits[0]);
-                            let timing = GroupTiming::Profiled {
-                                profile,
-                                member_max_v: None,
-                            };
-                            (vec![preds], timing)
-                        }
-                        ModelRef::Ensemble(e) => {
-                            let (preds, profile, selected) =
-                                e.predict_circuit_profiled(circuits[0]);
-                            let member_max_v = selected
-                                .iter()
-                                .enumerate()
-                                .max_by_key(|(_, &n)| n)
-                                .filter(|(_, &n)| n > 0)
-                                .and_then(|(i, _)| e.members()[i].max_value);
-                            let timing = GroupTiming::Profiled {
-                                profile,
-                                member_max_v,
-                            };
-                            (vec![preds], timing)
-                        }
-                    }
-                } else {
-                    let batch_started = Instant::now();
-                    let per_circuit = match &model {
-                        ModelRef::Single(m) => m.predict_circuits(&circuits),
-                        ModelRef::Ensemble(e) => e.predict_circuits(&circuits),
-                    };
-                    let timing = GroupTiming::Batched {
-                        total_us: batch_started.elapsed().as_secs_f64() * 1e6,
-                        n: circuits.len(),
-                    };
-                    (per_circuit, timing)
-                }
-            }))
+            catch_unwind(AssertUnwindSafe(|| model.predict_circuits(&circuits)))
         };
         match outcome {
-            Ok((per_circuit, timing)) => {
-                // Attribute this forward pass to its inference path
-                // (compiled executor vs tape). Cache hits never get here.
-                let inference_us = match &timing {
-                    GroupTiming::Profiled { profile, .. } => profile.inference_us,
-                    GroupTiming::Batched { total_us, .. } => *total_us,
-                };
-                metrics.record_path(
-                    model.uses_executor(),
-                    Duration::from_secs_f64(inference_us / 1e6),
-                );
+            Ok((per_circuit, profile, member_max_v)) => {
+                // Cache hits never get here: only groups that ran
+                // inference count toward the precision metrics.
                 metrics.record_precision(
                     model.precision_name(),
-                    Duration::from_secs_f64(inference_us / 1e6),
+                    Duration::from_secs_f64(profile.inference_us / 1e6),
                 );
-                for (p, preds) in pending.into_iter().zip(per_circuit) {
+                let batched = pending.len();
+                for ((p, preds), member_max_v) in
+                    pending.into_iter().zip(per_circuit).zip(member_max_v)
+                {
                     let ctx_guard = p.job.ctx.as_ref().map(paragraph_obs::SpanContext::enter);
                     let response = {
                         let _span =
@@ -1131,27 +1068,21 @@ fn predict_many(
                         let id = p.job.request.id.clone();
                         let result = render_prediction(&key, &model, &p.circuit, &preds);
                         cache.put(&key, p.content_hash, Arc::new(result.clone()));
-                        let mut stages = json!({
+                        // A batched job waited for the whole batch, so
+                        // its stages are the batch's shared timings.
+                        let stages = json!({
                             "queue_wait_us": p.queue_wait_us,
                             "window_wait_us": p.window_wait_us,
                             "cache_lookup_us": p.lookup_us,
+                            "graph_build_us": profile.graph_build_us,
+                            "inference_us": profile.inference_us,
                         });
                         let mut obs = serde_json::Map::new();
-                        match &timing {
-                            GroupTiming::Profiled {
-                                profile,
-                                member_max_v,
-                            } => {
-                                stages["graph_build_us"] = json!(profile.graph_build_us);
-                                stages["inference_us"] = json!(profile.inference_us);
-                                if let Some(v) = member_max_v {
-                                    obs.insert("member_max_v", json!(*v));
-                                }
-                            }
-                            GroupTiming::Batched { total_us, n } => {
-                                stages["inference_us"] = json!(*total_us);
-                                obs.insert("batched", json!(*n as u64));
-                            }
+                        if let Some(v) = member_max_v {
+                            obs.insert("member_max_v", json!(v));
+                        }
+                        if batched > 1 {
+                            obs.insert("batched", json!(batched as u64));
                         }
                         obs.insert("stages", stages);
                         obs.insert("model", json!(key.clone()));
@@ -1226,27 +1157,20 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-type ExecResult = Result<(Value, Option<bool>), ServeError>;
-
-fn execute(
-    request: &Request,
-    registry: &ModelRegistry,
-    cache: &PredictionCache,
-    debug_ops: bool,
-) -> ExecResult {
+fn execute(request: &Request, debug_ops: bool) -> Result<Value, ServeError> {
     match request.op {
-        Op::Predict => predict(request, registry, cache),
-        Op::Stats => stats(request).map(|v| (v, None)),
-        Op::Erc => erc(request).map(|v| (v, None)),
+        Op::Stats => stats(request),
+        Op::Erc => erc(request),
         Op::DebugPanic if debug_ops => panic!("debug panic requested"),
         Op::DebugPanic => Err(ServeError::new(
             ErrorCode::BadRequest,
             "debug ops are disabled on this service",
         )),
-        // Control-plane ops never reach the queue.
-        Op::Health | Op::Metrics | Op::Reload => Err(ServeError::new(
+        // Predict jobs are served by `predict_many`; control-plane ops
+        // never reach the queue.
+        Op::Predict | Op::Health | Op::Metrics | Op::Reload => Err(ServeError::new(
             ErrorCode::Internal,
-            "control-plane op routed to a worker",
+            format!("op '{}' routed to execute", request.op.name()),
         )),
     }
 }
@@ -1262,27 +1186,6 @@ fn required_netlist(request: &Request) -> Result<Circuit, ServeError> {
         .map_err(|e| ServeError::new(ErrorCode::InvalidNetlist, format!("parse error: {e}")))?
         .flatten()
         .map_err(|e| ServeError::new(ErrorCode::InvalidNetlist, format!("flatten error: {e}")))
-}
-
-fn predict(request: &Request, registry: &ModelRegistry, cache: &PredictionCache) -> ExecResult {
-    let circuit = required_netlist(request)?;
-    let snapshot = registry.current();
-    let (key, model) = snapshot
-        .resolve(request.model.as_deref())
-        .map_err(|m| ServeError::new(ErrorCode::UnknownModel, m))?;
-    // Key on the flattened canonical text: hierarchy spelling and
-    // comments don't fragment the cache, electrical changes do.
-    let content_hash = fnv1a(&write_flat_spice(&circuit));
-    if let Some(hit) = cache.get(&key, content_hash) {
-        return Ok(((*hit).clone(), Some(true)));
-    }
-    let preds = match &model {
-        ModelRef::Single(m) => m.predict_circuit(&circuit),
-        ModelRef::Ensemble(e) => e.predict_circuit(&circuit),
-    };
-    let result = render_prediction(&key, &model, &circuit, &preds);
-    cache.put(&key, content_hash, Arc::new(result.clone()));
-    Ok((result, Some(false)))
 }
 
 fn named_predictions<'a>(

@@ -32,7 +32,8 @@ fn debug_predict_line(id: u64, netlist: &str) -> String {
 /// Four clients firing together against a single-shard gateway with a
 /// generous window must land in one batched forward pass (the window
 /// closes early at `max_batch`), each response reporting the shared
-/// batch and a `window_wait_us` stage.
+/// batch, its `window_wait_us`, `graph_build_us` and `inference_us`
+/// stages, and the ensemble member Algorithm 2 picked.
 #[test]
 fn admission_window_batches_concurrent_requests() {
     let (dir, _ensemble) = build_model_dir("window-batch");
@@ -72,11 +73,16 @@ fn admission_window_batches_concurrent_requests() {
             "request {i} was not in the 4-wide batch: {:?}",
             response["debug"]
         );
+        for stage in ["window_wait_us", "graph_build_us", "inference_us"] {
+            assert!(
+                response["debug"]["stages"][stage].as_f64().is_some(),
+                "request {i} is missing the {stage} stage: {:?}",
+                response["debug"]
+            );
+        }
         assert!(
-            response["debug"]["stages"]["window_wait_us"]
-                .as_f64()
-                .is_some(),
-            "request {i} is missing the window_wait_us stage: {:?}",
+            response["debug"]["member_max_v"].as_f64().is_some(),
+            "request {i} is missing its Algorithm-2 member: {:?}",
             response["debug"]
         );
     }

@@ -2,21 +2,19 @@
 //! mid-body disconnects, oversized heads and bodies, garbage bytes,
 //! pipelined bursts — the gateway must never panic, must time abusive
 //! connections out on a deadline, and must keep serving well-behaved
-//! clients throughout. Also pins the legacy JSON-lines server's
-//! stalled-connection reclaim (read timeout) as a regression test.
+//! clients throughout.
 
 mod common;
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
 use std::time::Duration;
 
 use common::{
     build_model_dir, predict_line, start_gateway, test_service_config, HttpClient, LineClient,
     NETLIST_A, NETLIST_B,
 };
-use paragraph_serve::{GatewayConfig, LoadedModels, ModelRegistry, Server, Service, ServiceConfig};
+use paragraph_serve::GatewayConfig;
 
 /// A gateway with short abuse deadlines: stalls time out after 300ms.
 fn abuse_config(shards: usize) -> GatewayConfig {
@@ -226,40 +224,4 @@ fn pipelined_json_lines_burst_is_answered_in_order() {
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn legacy_server_reclaims_stalled_connections() {
-    // Regression: the thread-per-connection server used to block in
-    // `read` forever on a stalled client, pinning its thread. A read
-    // timeout now reclaims the connection.
-    let registry = Arc::new(ModelRegistry::from_snapshot(LoadedModels::default()));
-    let service = Arc::new(Service::new(
-        registry,
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
-    ));
-    let server =
-        Server::bind_with_timeout("127.0.0.1:0", service, Duration::from_millis(200)).unwrap();
-    let handle = server.spawn();
-
-    // Stall mid-line; the server must drop us rather than wait forever.
-    let mut stalled = TcpStream::connect(handle.addr()).unwrap();
-    stalled
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stalled.write_all(br#"{"op": "health""#).unwrap();
-    let mut buf = [0u8; 64];
-    let n = stalled
-        .read(&mut buf)
-        .expect("server should close, not hang");
-    assert_eq!(n, 0, "expected EOF from the reclaimed connection");
-
-    // The server still accepts and serves new clients.
-    let v = LineClient::connect(handle.addr()).roundtrip(r#"{"op": "health", "id": 1}"#);
-    assert_eq!(v["ok"].as_bool(), Some(true), "{v:?}");
-
-    handle.shutdown();
 }

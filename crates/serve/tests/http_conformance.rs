@@ -2,7 +2,7 @@
 //! keep-alive and Content-Length framing, header case-insensitivity,
 //! malformed-request status codes, load shedding (`503` +
 //! `Retry-After`), pipelining, and first-byte protocol sniffing parity
-//! with the legacy JSON-lines server.
+//! with the in-process `Service::handle_line`.
 
 mod common;
 
@@ -15,7 +15,7 @@ use common::{
     test_service_config, HttpClient, LineClient, NETLIST_A, NETLIST_B,
 };
 use paragraph_serve::{
-    GatewayConfig, ModelRegistry, Server, Service, ServiceConfig, Submitted, ENSEMBLE_KEY,
+    Gateway, GatewayConfig, ModelRegistry, Service, ServiceConfig, Submitted, ENSEMBLE_KEY,
 };
 use serde_json::{json, Value};
 
@@ -321,24 +321,27 @@ fn load_shedding_yields_503_with_retry_after_and_structured_overloaded() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// JSON-lines over the gateway must answer byte for byte what
+/// `Service::handle_line` answers on a service with the same registry
+/// and config: the wire format is the service's own rendering.
 #[test]
-fn json_lines_over_gateway_is_byte_identical_to_legacy_server() {
+fn json_lines_over_gateway_is_byte_identical_to_handle_line() {
     let (dir, _ensemble) = build_model_dir("parity");
     let config = test_service_config();
     let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
-    let legacy_service = Arc::new(Service::new(registry, config.clone()));
-    let legacy = Server::bind("127.0.0.1:0", legacy_service).unwrap().spawn();
-    let handle = start_gateway(
-        &dir,
+    let reference = Service::new(Arc::clone(&registry), config.clone());
+    let handle = Gateway::bind(
+        "127.0.0.1:0",
+        registry,
         GatewayConfig {
             shards: 2,
             service: config,
             ..GatewayConfig::default()
         },
-    );
-
-    let mut old = LineClient::connect(legacy.addr());
-    let mut new = LineClient::connect(handle.addr());
+    )
+    .unwrap()
+    .spawn();
+    let mut client = LineClient::connect(handle.addr());
 
     // Cold predict, warm (cached) predict, malformed JSON, unknown
     // model: every raw response line must match byte for byte.
@@ -350,22 +353,20 @@ fn json_lines_over_gateway_is_byte_identical_to_legacy_server() {
         r#"{"op": "stats", "id": 4}"#.to_owned(),
     ];
     for request in &requests {
-        old.send(request);
-        new.send(request);
-        let old_line = old.recv_raw();
-        let new_line = new.recv_raw();
+        client.send(request);
+        let served = client.recv_raw();
+        let expected = reference.handle_line(request);
         // `stats` contains live latency numbers; compare ids only.
         if request.contains("stats") {
-            let old_v: Value = serde_json::from_str(&old_line).unwrap();
-            let new_v: Value = serde_json::from_str(&new_line).unwrap();
-            assert_eq!(old_v["id"], new_v["id"]);
-            assert_eq!(old_v["ok"], new_v["ok"]);
+            let served: Value = serde_json::from_str(&served).unwrap();
+            let expected: Value = serde_json::from_str(&expected).unwrap();
+            assert_eq!(served["id"], expected["id"]);
+            assert_eq!(served["ok"], expected["ok"]);
         } else {
-            assert_eq!(old_line, new_line, "gateway diverged on: {request}");
+            assert_eq!(served, expected, "gateway diverged on: {request}");
         }
     }
 
-    legacy.shutdown();
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,136 +1,49 @@
-//! End-to-end test: spawn the TCP server on an ephemeral port, hammer it
-//! with concurrent clients mixing valid, malformed, and past-deadline
-//! requests, and assert that served predictions are bit-identical to
-//! direct in-process model predictions on both cache paths.
+//! End-to-end test: start a one-shard gateway on an ephemeral port,
+//! hammer it with concurrent JSON-lines clients mixing valid, malformed,
+//! and past-deadline requests, and assert that served predictions are
+//! bit-identical to direct in-process model predictions on both cache
+//! paths. Also pins hot reload, including the refusal of an artifact
+//! that does not compile.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::Path;
 use std::sync::Arc;
 
-use paragraph::{
-    fit_norm, normalize_circuits, CapEnsemble, FitConfig, GnnKind, PreparedCircuit, SavedModel,
-    Target, TargetModel,
+use common::{
+    build_model_dir, direct_reference, predict_line, response_predictions, start_gateway,
+    train_cap_model, LineClient, NETLIST_A, NETLIST_B,
 };
-use paragraph_layout::LayoutConfig;
-use paragraph_netlist::parse_spice;
-use paragraph_serve::{ModelRegistry, Server, ServerHandle, Service, ServiceConfig, ENSEMBLE_KEY};
-use serde_json::Value;
+use paragraph::SavedModel;
+use paragraph_serve::{GatewayConfig, GatewayHandle, ModelRegistry, ServiceConfig, ENSEMBLE_KEY};
+use serde_json::{json, Value};
 
-const NETLIST_A: &str = "mp o i vdd vdd pch\nmn o i vss vss nch\n.end\n";
-const NETLIST_B: &str = "mp z a vdd vdd pch nf=2\nmn z a vss vss nch\nc1 z vss 1f\n.end\n";
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 24;
 
-fn train_cap_model(max_v: f64) -> TargetModel {
-    let circuit = parse_spice(NETLIST_A).unwrap().flatten().unwrap();
-    let mut train = vec![PreparedCircuit::new(
-        "seed",
-        circuit,
-        &LayoutConfig::default(),
-    )];
-    let norm = fit_norm(&train);
-    normalize_circuits(&mut train, &norm);
-    let mut fit = FitConfig::quick(GnnKind::Gcn);
-    fit.epochs = 2;
-    fit.embed_dim = 4;
-    fit.layers = 1;
-    TargetModel::train(&train, Target::Cap, Some(max_v), fit, &norm).0
-}
-
-/// Trains two range members, snapshots them into a fresh model dir, and
-/// returns the dir plus the reference ensemble reloaded from those very
-/// files (so the reference went through the same JSON round trip the
-/// server's registry does).
-fn build_model_dir() -> (PathBuf, CapEnsemble) {
-    let dir = std::env::temp_dir().join(format!(
-        "paragraph-serve-it-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id(),
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut reloaded = Vec::new();
-    for (name, max_v) in [("cap_1f", 1e-15), ("cap_10f", 10e-15)] {
-        let model = train_cap_model(max_v);
-        let json = SavedModel::from_model(&model).to_json();
-        std::fs::write(dir.join(format!("{name}.json")), &json).unwrap();
-        reloaded.push(SavedModel::from_json(&json).unwrap().into_model().unwrap());
-    }
-    let ensemble = CapEnsemble::try_new(reloaded).unwrap();
-    (dir, ensemble)
-}
-
-fn start_server(dir: &Path) -> (Arc<Service>, ServerHandle) {
-    let registry = Arc::new(ModelRegistry::open(dir).unwrap());
-    let config = ServiceConfig {
-        workers: 4,
-        queue_capacity: 256,
-        cache_capacity: 64,
-        enable_debug_ops: true,
-        ..ServiceConfig::default()
-    };
-    let service = Arc::new(Service::new(registry, config));
-    let server = Server::bind("127.0.0.1:0", service.clone()).unwrap();
-    (service, server.spawn())
-}
-
-/// Expected `{"net": ..., "value": ...}` pairs for `netlist`, computed
-/// directly (no server, no cache).
-fn direct_reference(ensemble: &CapEnsemble, netlist: &str) -> Vec<(String, f64)> {
-    let circuit = parse_spice(netlist).unwrap().flatten().unwrap();
-    let preds = ensemble.predict_circuit(&circuit);
-    circuit
-        .nets()
-        .iter()
-        .zip(&preds)
-        .filter_map(|(n, p)| p.map(|v| (n.name.clone(), v)))
-        .collect()
-}
-
-fn response_predictions(response: &Value) -> Vec<(String, f64)> {
-    response["result"]["predictions"]
-        .as_array()
-        .expect("predictions array")
-        .iter()
-        .map(|e| {
-            (
-                e["net"].as_str().expect("net name").to_owned(),
-                e["value"].as_f64().expect("numeric value"),
-            )
-        })
-        .collect()
-}
-
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        Self {
-            writer: stream,
-            reader,
-        }
-    }
-
-    fn roundtrip(&mut self, line: &str) -> Value {
-        self.writer.write_all(line.as_bytes()).expect("write");
-        self.writer.write_all(b"\n").expect("write newline");
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response).expect("read");
-        assert!(n > 0, "server dropped the connection after: {line}");
-        serde_json::from_str(&response).expect("response is JSON")
-    }
+/// One shard, so every connection lands on the same service and its
+/// counters see all traffic.
+fn start_server(dir: &Path) -> GatewayHandle {
+    start_gateway(
+        dir,
+        GatewayConfig {
+            shards: 1,
+            service: ServiceConfig {
+                workers: 4,
+                queue_capacity: 256,
+                cache_capacity: 64,
+                enable_debug_ops: true,
+                ..ServiceConfig::default()
+            },
+            ..GatewayConfig::default()
+        },
+    )
 }
 
 #[test]
 fn concurrent_clients_mixed_traffic() {
-    let (dir, ensemble) = build_model_dir();
-    let (service, handle) = start_server(&dir);
+    let (dir, ensemble) = build_model_dir("it-mixed");
+    let handle = start_server(&dir);
     let addr = handle.addr();
     let expected_a = Arc::new(direct_reference(&ensemble, NETLIST_A));
     let expected_b = Arc::new(direct_reference(&ensemble, NETLIST_B));
@@ -142,7 +55,7 @@ fn concurrent_clients_mixed_traffic() {
     // Warm the cache once so later identical requests can hit it, and
     // check the cached-path payload is bit-identical to the cold one.
     {
-        let mut c = Client::connect(addr);
+        let mut c = LineClient::connect(addr);
         let cold = c.roundtrip(&predict_line(9_000, NETLIST_A, None));
         assert_eq!(cold["ok"].as_bool(), Some(true), "{cold:?}");
         assert_eq!(cold["cached"].as_bool(), Some(false));
@@ -160,7 +73,7 @@ fn concurrent_clients_mixed_traffic() {
             let expected_a = expected_a.clone();
             let expected_b = expected_b.clone();
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr);
+                let mut client = LineClient::connect(addr);
                 let mut predictions_checked = 0_usize;
                 for i in 0..REQUESTS_PER_CLIENT {
                     let id = (client_id * 1000 + i) as u64;
@@ -249,7 +162,7 @@ fn concurrent_clients_mixed_traffic() {
     // Panic isolation: a worker panic returns a structured internal
     // error, and the pool keeps serving afterwards.
     {
-        let mut c = Client::connect(addr);
+        let mut c = LineClient::connect(addr);
         let r = c.roundtrip(r#"{"op": "debug_panic", "id": 7777}"#);
         assert_eq!(r["ok"].as_bool(), Some(false));
         assert_eq!(r["error"]["code"].as_str(), Some("internal"));
@@ -265,7 +178,7 @@ fn concurrent_clients_mixed_traffic() {
 
     // Metrics: counts, histogram buckets, queue depth, cache hit rate.
     {
-        let mut c = Client::connect(addr);
+        let mut c = LineClient::connect(addr);
         let r = c.roundtrip(r#"{"op": "metrics", "id": 8888}"#);
         assert_eq!(r["ok"].as_bool(), Some(true));
         let m = &r["result"]["metrics"];
@@ -307,7 +220,8 @@ fn concurrent_clients_mixed_traffic() {
     // In-process API serves the same bit-identical payloads as TCP.
     {
         let line = predict_line(12_345, NETLIST_A, None);
-        let response: Value = serde_json::from_str(&service.handle_line(&line)).unwrap();
+        let response: Value =
+            serde_json::from_str(&handle.services()[0].handle_line(&line)).unwrap();
         assert_eq!(response["ok"].as_bool(), Some(true));
         assert_eq!(response_predictions(&response), *expected_a);
     }
@@ -318,9 +232,10 @@ fn concurrent_clients_mixed_traffic() {
 
 #[test]
 fn hot_reload_swaps_registry() {
-    let (dir, _ensemble) = build_model_dir();
-    let (service, handle) = start_server(&dir);
-    let mut c = Client::connect(handle.addr());
+    let (dir, _ensemble) = build_model_dir("it-reload");
+    let handle = start_server(&dir);
+    let service = &handle.services()[0];
+    let mut c = LineClient::connect(handle.addr());
 
     let r = c.roundtrip(r#"{"op": "reload", "id": 1}"#);
     assert_eq!(r["ok"].as_bool(), Some(true), "{r:?}");
@@ -337,9 +252,39 @@ fn hot_reload_swaps_registry() {
     let r = c.roundtrip(r#"{"op": "reload", "id": 2}"#);
     assert_eq!(r["result"]["models"].as_u64(), Some(3), "{r:?}");
 
+    // An int8-pinned artifact with a weight of 1e39 parses (the weight
+    // reads as f32 infinity) but cannot be packed at int8: `open` and
+    // `reload` must fail with the compile error's text, and the old
+    // snapshot keeps serving.
+    let mut saved = SavedModel::from_model(&train_cap_model(1e-12));
+    saved.precision = Some("int8".to_owned());
+    let mut overflow: Value = serde_json::from_str(&saved.to_json()).unwrap();
+    overflow["params"][0][3][0] = json!(1e39);
+    let overflow = serde_json::to_string(&overflow).unwrap();
+    let compile_error = SavedModel::from_json(&overflow)
+        .and_then(SavedModel::into_model)
+        .expect("the artifact itself loads")
+        .compile()
+        .expect_err("an infinite weight cannot be packed at int8")
+        .to_string();
+    assert!(compile_error.contains("int8"), "{compile_error}");
+    std::fs::write(dir.join("cap_overflow.json"), overflow).unwrap();
+    let err = ModelRegistry::open(&dir).expect_err("open must refuse the artifact");
+    assert!(err.to_string().contains(&compile_error), "{err}");
+    let r = c.roundtrip(r#"{"op": "reload", "id": 3}"#);
+    assert_eq!(r["ok"].as_bool(), Some(false), "{r:?}");
+    assert_eq!(r["error"]["code"].as_str(), Some("internal"));
+    let message = r["error"]["message"].as_str().unwrap();
+    assert!(message.contains(&compile_error), "{message}");
+    assert_eq!(service.registry().current().models.len(), 3);
+    let r = c.roundtrip(&predict_line(4, NETLIST_B, None));
+    assert_eq!(r["ok"].as_bool(), Some(true), "{r:?}");
+    assert_eq!(r["result"]["members"].as_u64(), Some(3));
+    std::fs::remove_file(dir.join("cap_overflow.json")).unwrap();
+
     // A corrupt snapshot must fail the reload and keep the old registry.
     std::fs::write(dir.join("broken.json"), "{not a model").unwrap();
-    let r = c.roundtrip(r#"{"op": "reload", "id": 3}"#);
+    let r = c.roundtrip(r#"{"op": "reload", "id": 5}"#);
     assert_eq!(r["ok"].as_bool(), Some(false));
     assert_eq!(r["error"]["code"].as_str(), Some("internal"));
     assert_eq!(
@@ -354,13 +299,3 @@ fn hot_reload_swaps_registry() {
 
 /// `NETLIST_A` with `\n` escaped for embedding in JSON string literals.
 const NL_A_ESCAPED: &str = "mp o i vdd vdd pch\\nmn o i vss vss nch\\n.end\\n";
-
-fn predict_line(id: u64, netlist: &str, model: Option<&str>) -> String {
-    let escaped = netlist.replace('\n', "\\n");
-    match model {
-        Some(m) => {
-            format!(r#"{{"op": "predict", "id": {id}, "model": "{m}", "netlist": "{escaped}"}}"#)
-        }
-        None => format!(r#"{{"op": "predict", "id": {id}, "netlist": "{escaped}"}}"#),
-    }
-}

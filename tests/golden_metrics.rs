@@ -11,8 +11,10 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_metrics
 //! ```
 
+use std::sync::Arc;
+
 use paragraph::prelude::*;
-use paragraph::{edge_type_name, ExecutorMode, Precision, NUM_EDGE_TYPES};
+use paragraph::{edge_type_name, Precision, NUM_EDGE_TYPES};
 use paragraph_circuitgen::{
     compose_chip, FAMILY_ANALOG, FAMILY_DAC, FAMILY_IO, FAMILY_PMU, FAMILY_REF,
 };
@@ -83,7 +85,6 @@ fn golden_run() -> Value {
         let mut quant = serde_json::Map::new();
         for (key, precision) in [("f16", Precision::F16), ("int8", Precision::Int8)] {
             let mut qm = model.clone();
-            qm.executor = ExecutorMode::On;
             qm.precision = Some(precision);
             let qs = evaluate_model(&qm, &test, None).summary();
             quant.insert(
@@ -122,11 +123,30 @@ fn assert_close(name: &str, actual: f64, golden: f64) {
     assert_close_tol(name, actual, golden, REL_TOL);
 }
 
+/// The autograd tape's CAP predictions for `circuit`, laid out per net
+/// like `predict_circuit`'s: the same graph build, normalisation and
+/// unscaling, with the forward pass run by `model.gnn()` on the tape.
+fn tape_predictions(model: &TargetModel, circuit: &Circuit) -> Vec<Option<f64>> {
+    let mut cg = build_graph(circuit);
+    cg.normalize(&model.norm);
+    let nodes = Arc::new(cg.net_nodes());
+    let mut scores = model.gnn().predict(&cg.graph, &nodes).into_iter();
+    cg.net_node
+        .iter()
+        .map(|node| {
+            node.map(|_| {
+                let score = scores.next().expect("one score per net node");
+                model.target.unscale_with(model.max_value, score)
+            })
+        })
+        .collect()
+}
+
 /// The compiled tape-free executor must reproduce the tape's circuit
 /// predictions bit-for-bit on a trained model — same contract the
 /// `paragraph-exec` parity suite pins on raw graphs, here checked
 /// through the full `predict_circuit` pipeline (graph build, feature
-/// normalisation, unscaling) so serving can switch paths freely.
+/// normalisation, unscaling), with the tape as the oracle.
 ///
 /// Besides the hand-built inverter chains (where nearly every node
 /// touches every edge type), the inputs include generated chips from
@@ -195,18 +215,14 @@ fn executor_path_is_bitwise_identical_to_tape() {
     for (name, mut fit) in fits {
         fit.epochs = 4;
         fit.seed = 7;
-        let (model, _) = TargetModel::train(&train, Target::Cap, None, fit, &norm);
-        let mut tape_model = model.clone();
-        tape_model.executor = ExecutorMode::Off;
-        let mut exec_model = model;
-        exec_model.executor = ExecutorMode::On;
+        let (mut model, _) = TargetModel::train(&train, Target::Cap, None, fit, &norm);
         // The bitwise contract only holds at f32; pin it so a
         // process-wide PARAGRAPH_PRECISION override (the quantized CI
         // job) cannot reroute this test through a quantized path.
-        exec_model.precision = Some(Precision::F32);
+        model.precision = Some(Precision::F32);
         for circuit in &circuits {
-            let tape = tape_model.predict_circuit(circuit);
-            let exec = exec_model.predict_circuit(circuit);
+            let tape = tape_predictions(&model, circuit);
+            let exec = model.predict_circuit(circuit);
             assert_eq!(tape.len(), exec.len());
             for (i, (t, e)) in tape.iter().zip(&exec).enumerate() {
                 match (t, e) {
