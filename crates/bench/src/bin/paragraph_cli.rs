@@ -44,7 +44,6 @@ const SERVE_FLAGS: &[&str] = &[
     "queue",
     "cache",
     "events",
-    "event-sample",
     "slow-ms",
     "precision",
     "shards",
@@ -89,10 +88,16 @@ fn main() {
     // Chrome-trace file; a disabled run writes nothing.
     match paragraph_obs::flush_default_trace() {
         Ok(0) => {}
-        Ok(n) => eprintln!(
-            "wrote {n} trace events to {}",
-            paragraph_obs::DEFAULT_TRACE_PATH
-        ),
+        Ok(n) => {
+            eprintln!(
+                "wrote {n} trace events to {}",
+                paragraph_obs::DEFAULT_TRACE_PATH
+            );
+            let dropped = paragraph_obs::dropped_spans();
+            if dropped > 0 {
+                eprintln!("dropped {dropped} trace events: a thread's span buffer was full");
+            }
+        }
         Err(e) => eprintln!("could not write trace: {e}"),
     }
     // Likewise PARAGRAPH_EVENTS=1 flushes the structured event log.
@@ -122,9 +127,6 @@ fn usage() -> ! {
          \x20        --cache <n>\n\
          \x20        --events <path>       periodic event-log flush target\n\
          \x20                              (env PARAGRAPH_EVENTS_PATH)\n\
-         \x20        --event-sample <n>    log every nth ok request; errors\n\
-         \x20                              and slow requests always logged\n\
-         \x20                              (env PARAGRAPH_EVENT_SAMPLE)\n\
          \x20        --slow-ms <t>         slow-request threshold in ms\n\
          \x20                              (env PARAGRAPH_SLOW_MS)\n\
          \x20        --precision <f32|f16|int8>  compiled-path weight\n\
@@ -150,7 +152,8 @@ fn usage() -> ! {
          \n\
          PARAGRAPH_TRACE=1 records spans to target/trace.json (long-running\n\
          serve also streams them to target/trace_stream.json);\n\
-         PARAGRAPH_EVENTS=1 records the structured event log"
+         PARAGRAPH_EVENTS=1 records the structured event log, one record\n\
+         per served request"
     );
     std::process::exit(2)
 }
@@ -397,7 +400,6 @@ fn serve(flags: &Flags) {
             std::process::exit(1)
         }
     };
-    let event_sample = u64_flag_env(flags, "event-sample", "PARAGRAPH_EVENT_SAMPLE", 1).max(1);
     let slow_ms = u64_flag_env(flags, "slow-ms", "PARAGRAPH_SLOW_MS", 500);
     let events_path = flags
         .get("events")
@@ -436,7 +438,6 @@ fn serve(flags: &Flags) {
         workers: flags.u64_or("workers", 4).max(1) as usize,
         queue_capacity: flags.u64_or("queue", 64).max(1) as usize,
         cache_capacity: flags.u64_or("cache", 256) as usize,
-        event_sample,
         slow_threshold: Duration::from_millis(slow_ms),
         batch_window: Duration::from_micros(batch_window_us),
         ..ServiceConfig::default()
@@ -450,7 +451,7 @@ fn serve(flags: &Flags) {
     );
     if paragraph_obs::events_enabled() {
         eprintln!(
-            "event log on: sampling 1/{event_sample} ok requests, slow threshold {slow_ms} ms{}",
+            "event log on: one record per request, slow threshold {slow_ms} ms{}",
             events_path
                 .as_deref()
                 .map(|p| format!(", flushing to {p}"))
@@ -477,15 +478,18 @@ fn serve(flags: &Flags) {
             .expect("spawn event flusher");
     }
     // With tracing on, stream completed spans to an appendable
-    // Chrome-trace array every few seconds. Without this, spans
-    // buffered by worker threads would only surface at process exit —
-    // which a long-running server never reaches — and a crash would
-    // lose them all.
+    // Chrome-trace array. Without this, spans buffered by worker
+    // threads would only surface at process exit — which a
+    // long-running server never reaches — and a crash would lose them
+    // all. Each thread buffers at most SPAN_BUFFER_CAPACITY spans and
+    // drops the rest, so the drain runs every 100 ms: a thread loses
+    // spans only above ~40k spans/s, while a serve thread records
+    // ~1.7k/s under closed-loop load (docs/observability.md).
     if paragraph_obs::enabled() {
         std::thread::Builder::new()
             .name("trace-flusher".into())
             .spawn(move || loop {
-                std::thread::sleep(Duration::from_secs(5));
+                std::thread::sleep(Duration::from_millis(100));
                 match paragraph_obs::append_trace_events(paragraph_obs::DEFAULT_TRACE_STREAM_PATH) {
                     Ok(_) => {}
                     Err(e) => {

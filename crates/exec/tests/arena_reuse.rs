@@ -138,6 +138,16 @@ fn member_graph(seed: usize) -> HeteroGraph {
 #[test]
 fn steady_state_batched_predict_is_allocation_free() {
     let _serial = serial();
+    steady_state_batched_predict();
+    // Again with the span recorder live: spans keep typed args in a
+    // preallocated per-thread buffer, so tracing allocates nothing.
+    let traced = paragraph_obs::enabled();
+    paragraph_obs::set_enabled(true);
+    steady_state_batched_predict();
+    paragraph_obs::set_enabled(traced);
+}
+
+fn steady_state_batched_predict() {
     let members: Vec<HeteroGraph> = (0..6).map(member_graph).collect();
     let refs: Vec<&HeteroGraph> = members.iter().collect();
     let locals: Vec<Vec<u32>> = members
@@ -182,6 +192,15 @@ fn steady_state_batched_predict_is_allocation_free() {
 #[test]
 fn steady_state_predict_is_allocation_free() {
     let _serial = serial();
+    steady_state_predict();
+    // Again with the span recorder live (see the batched test).
+    let traced = paragraph_obs::enabled();
+    paragraph_obs::set_enabled(true);
+    steady_state_predict();
+    paragraph_obs::set_enabled(traced);
+}
+
+fn steady_state_predict() {
     let (schema, graph) = small_graph();
     // Pre-build the cached GraphPlan so plan compilation is not charged
     // to the request path (serve reuses the plan exactly like this).

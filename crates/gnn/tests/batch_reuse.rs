@@ -159,6 +159,17 @@ fn reused_assembly_matches_fresh_batch() {
 #[test]
 fn steady_state_assembly_is_allocation_free() {
     let _serial = serial();
+    steady_state_assembly();
+    // Again with the span recorder live: `batch_assemble` spans keep
+    // typed args in a preallocated per-thread buffer, so tracing
+    // allocates nothing.
+    let traced = paragraph_obs::enabled();
+    paragraph_obs::set_enabled(true);
+    steady_state_assembly();
+    paragraph_obs::set_enabled(traced);
+}
+
+fn steady_state_assembly() {
     let members: Vec<HeteroGraph> = (0..8).map(member).collect();
     let refs: Vec<&HeteroGraph> = members.iter().collect();
     let windows = [&refs[..4], &refs[4..8], &refs[2..6], &refs[..8]];

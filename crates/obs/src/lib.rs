@@ -7,9 +7,11 @@
 //!   on (`PARAGRAPH_TRACE=1` or [`set_enabled`]); the disabled path is
 //!   a single relaxed atomic load, and building this crate with
 //!   `--no-default-features` compiles recording out entirely.
-//! * **Trace buffers** — completed spans land in per-thread buffers
-//!   that [`write_trace`] drains into a Chrome-trace-compatible JSON
-//!   file (open it in `chrome://tracing` or <https://ui.perfetto.dev>).
+//! * **Trace buffers** — completed spans, with typed args, land in
+//!   fixed-capacity per-thread buffers (overflow is dropped and counted
+//!   by [`dropped_spans`]) that [`write_trace`] drains into a
+//!   Chrome-trace-compatible JSON file (open it in `chrome://tracing` or
+//!   <https://ui.perfetto.dev>).
 //! * **Metrics** — [`Registry`] holds counters, gauges, and fixed-bucket
 //!   histograms behind atomics, grouped into labelled families, and
 //!   renders them as Prometheus exposition text or JSON. The
@@ -29,8 +31,9 @@
 //!   and OOD requests always kept, the rest sampled 1-in-N). Worker
 //!   threads tag their spans with a [`SpanContext`] so one request's
 //!   spans assemble into one tree across threads and batched forward
-//!   passes. Gated by `PARAGRAPH_TRACE_STORE` / [`set_store_enabled`];
-//!   the gateway serves it live under `/debug/traces`.
+//!   passes. Each retained trace keeps the request's [`RequestRecord`].
+//!   Gated by `PARAGRAPH_TRACE_STORE` / [`set_store_enabled`]; the
+//!   gateway serves it live under `/debug/traces`.
 //! * **Rolling quantiles** — [`RollingQuantile`] keeps a fixed-size
 //!   window of recent observations and reports **exact** sorted
 //!   quantiles over it (registered via [`Registry::rolling`], rendered
@@ -57,13 +60,14 @@ pub use events::{
 pub use metrics::{escape_label_value, global, Counter, Gauge, Histogram, Labels, Registry};
 pub use quantile::{RollingQuantile, RENDERED_QUANTILES};
 pub use store::{
-    sampler_keeps, set_store_enabled, store_enabled, trace_store, ContextGuard, RequestOutcome,
-    RetainReason, RetainedTrace, SpanContext, StoreCounters, TraceStore, TraceSummary,
+    sampler_keeps, set_store_enabled, store_enabled, trace_store, ContextGuard, RequestRecord,
+    RetainReason, RetainedTrace, SpanContext, Stage, Stages, StoreCounters, TraceStore,
     DEFAULT_KEEP_ONE_IN, DEFAULT_STORE_CAPACITY, MAX_ACTIVE_TRACES, MAX_SPANS_PER_TRACE,
 };
 pub use trace::{
-    append_trace_events, enabled, epoch_unix_nanos, pending_events, record_span_at,
-    render_chrome_trace, set_enabled, take_events, write_trace, SpanGuard, TraceEvent,
+    append_trace_events, dropped_spans, enabled, epoch_unix_nanos, pending_events, record_span_at,
+    render_chrome_trace, set_enabled, span_args, take_events, write_trace, ArgValue, SpanArgs,
+    SpanGuard, TraceEvent, MAX_SPAN_ARGS, SPAN_BUFFER_CAPACITY,
 };
 
 /// Default trace-file location, relative to the working directory.

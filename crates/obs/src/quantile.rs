@@ -122,11 +122,6 @@ impl RollingQuantile {
         lock(&self.window).filled
     }
 
-    /// Maximum observations the window holds.
-    pub fn window_capacity(&self) -> usize {
-        lock(&self.window).buf.len()
-    }
-
     /// Lifetime observation count (not just the window).
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)

@@ -241,95 +241,122 @@ impl RetainReason {
             RetainReason::Sampled => "sampled",
         }
     }
+}
 
-    fn index(&self) -> usize {
-        *self as usize
+/// A timed stage of request handling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Request-line parse.
+    Parse,
+    /// Queued, waiting for a worker.
+    QueueWait,
+    /// Held by the admission window after a worker popped it.
+    WindowWait,
+    /// Netlist parse, model resolution and cache lookup.
+    CacheLookup,
+    /// Graph build and normalisation (a batch's shared time).
+    GraphBuild,
+    /// The forward pass (a batch's shared time).
+    Inference,
+    /// A non-predict data-plane op's execution.
+    Exec,
+    /// End to end, submission to response.
+    Total,
+}
+
+/// Rendered stage keys, indexed by [`Stage`].
+const STAGE_KEYS: [&str; 8] = [
+    "parse_us",
+    "queue_wait_us",
+    "window_wait_us",
+    "cache_lookup_us",
+    "graph_build_us",
+    "inference_us",
+    "exec_us",
+    "total_us",
+];
+
+/// Per-[`Stage`] latencies in µs; a stage that did not happen is absent.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Stages([Option<f64>; STAGE_KEYS.len()]);
+
+impl Stages {
+    /// Sets one stage's latency.
+    pub fn set(&mut self, stage: Stage, us: f64) {
+        self.0[stage as usize] = Some(us);
+    }
+
+    /// `(key, us)` for each stage that happened, in [`Stage`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        STAGE_KEYS
+            .iter()
+            .zip(&self.0)
+            .filter_map(|(&key, us)| us.map(|us| (key, us)))
     }
 }
 
-/// Everything the retention decision needs about a finished request.
-#[derive(Debug, Clone)]
-pub struct RequestOutcome {
+/// Everything measured about one request, typed until a renderer
+/// formats it: metrics, the event log, the `debug` response and the
+/// store's retention decision all read it, and a retained trace keeps it.
+#[derive(Debug, Clone, Default)]
+pub struct RequestRecord {
+    /// The request id (`req-<n>`).
+    pub request_id: String,
     /// Operation name (`predict`, `health`, ...).
-    pub op: String,
+    pub op: &'static str,
     /// Whether the request succeeded.
     pub ok: bool,
     /// Whether it was shed under load (maps to HTTP 503/504).
     pub shed: bool,
-    /// Whether the serving layer's own slow threshold already fired
-    /// (OR-ed with the store's threshold and rolling-p99 tests).
+    /// Whether the serving layer's slow threshold fired.
     pub slow: bool,
-    /// Whether the drift monitor flagged the inputs OOD.
-    pub ood: bool,
-    /// End-to-end latency in microseconds.
-    pub total_us: f64,
-    /// Per-stage latency breakdown (`parse_us`, `queue_wait_us`, ...).
-    pub stages: Vec<(String, f64)>,
+    /// The model key a predict resolved to.
+    pub model: Option<String>,
+    /// Whether a predict was answered from the cache.
+    pub cache_hit: Option<bool>,
+    /// `max_v` of the ensemble member that predicted most nets (Alg. 2).
+    pub member_max_v: Option<f64>,
+    /// The batch size, when the request shared a forward pass (> 1).
+    pub batched: Option<u64>,
+    /// Whether the drift monitor flagged the inputs out-of-distribution.
+    pub ood: Option<bool>,
+    /// Per-stage latency breakdown.
+    pub stages: Stages,
 }
 
-impl Default for RequestOutcome {
-    fn default() -> Self {
+impl RequestRecord {
+    /// A successful request with nothing measured yet.
+    pub fn new(request_id: impl Into<String>, op: &'static str) -> Self {
         Self {
-            op: String::new(),
+            request_id: request_id.into(),
+            op,
             ok: true,
-            shed: false,
-            slow: false,
-            ood: false,
-            total_us: 0.0,
-            stages: Vec::new(),
+            ..Self::default()
         }
+    }
+
+    /// End-to-end latency in microseconds (0 before it is measured).
+    pub fn total_us(&self) -> f64 {
+        self.stages.0[Stage::Total as usize].unwrap_or(0.0)
     }
 }
 
 /// One retained completed-request trace.
 #[derive(Debug, Clone)]
 pub struct RetainedTrace {
-    /// The request id (`req-<n>`).
-    pub request_id: String,
+    /// The completed request's record (id, op, outcome, stages).
+    pub record: RequestRecord,
     /// Owning gateway shard, if sharded.
     pub shard: Option<u32>,
-    /// Operation name.
-    pub op: String,
     /// Why the trace was kept.
     pub reason: RetainReason,
-    /// Whether the request succeeded.
-    pub ok: bool,
-    /// End-to-end latency in microseconds.
-    pub total_us: f64,
     /// Completion time, µs since the shared span/event epoch.
     pub completed_ts_us: f64,
-    /// Per-stage latency breakdown.
-    pub stages: Vec<(String, f64)>,
     /// The request's spans, ordered by start timestamp.
     pub spans: Vec<TraceEvent>,
     /// Spans dropped for this request (per-trace span cap).
     pub dropped_spans: u64,
     /// Monotone completion sequence number (eviction/order key).
-    pub seq: u64,
-}
-
-/// Index-level view of a retained trace (no spans).
-#[derive(Debug, Clone)]
-pub struct TraceSummary {
-    /// The request id.
-    pub request_id: String,
-    /// Owning gateway shard, if sharded.
-    pub shard: Option<u32>,
-    /// Operation name.
-    pub op: String,
-    /// Why the trace was kept.
-    pub reason: RetainReason,
-    /// Whether the request succeeded.
-    pub ok: bool,
-    /// End-to-end latency in microseconds.
-    pub total_us: f64,
-    /// Completion time, µs since the shared span/event epoch.
-    pub completed_ts_us: f64,
-    /// Per-stage latency breakdown.
-    pub stages: Vec<(String, f64)>,
-    /// Number of spans in the retained tree.
-    pub span_count: usize,
-    /// Monotone completion sequence number.
     pub seq: u64,
 }
 
@@ -364,13 +391,13 @@ struct ActiveTrace {
     shard: Option<u32>,
     spans: Vec<TraceEvent>,
     dropped: u64,
+    /// Begin order: the smallest in-flight value is the oldest request.
+    begin_seq: u64,
 }
 
 struct StoreInner {
     active: HashMap<String, ActiveTrace>,
-    /// Insertion order of `active` keys; stale keys (already completed)
-    /// are skipped lazily when evicting.
-    active_order: VecDeque<String>,
+    next_begin_seq: u64,
     ring: VecDeque<RetainedTrace>,
     rolling: RollingQuantile,
     next_seq: u64,
@@ -407,7 +434,7 @@ impl TraceStore {
         Self {
             inner: Mutex::new(StoreInner {
                 active: HashMap::new(),
-                active_order: VecDeque::new(),
+                next_begin_seq: 0,
                 ring: VecDeque::new(),
                 rolling: RollingQuantile::new(ROLLING_WINDOW),
                 next_seq: 0,
@@ -434,20 +461,10 @@ impl TraceStore {
         }
     }
 
-    /// The ring bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
     /// Sets the probabilistic sampling rate for unremarkable requests:
     /// keep one in `n` (`0` disables sampling).
     pub fn set_keep_one_in(&self, n: u64) {
         self.keep_one_in.store(n, Ordering::Relaxed);
-    }
-
-    /// The sampling rate (keep one in N; `0` = never).
-    pub fn keep_one_in(&self) -> u64 {
-        self.keep_one_in.load(Ordering::Relaxed)
     }
 
     /// Sets the slow-retention threshold in microseconds (requests at
@@ -468,24 +485,28 @@ impl TraceStore {
         if inner.active.contains_key(request_id) {
             return;
         }
-        while inner.active.len() >= MAX_ACTIVE_TRACES {
-            // Evict the oldest still-active entry (an abandoned request
-            // that will never complete), counting its spans as dropped.
-            let Some(key) = inner.active_order.pop_front() else {
-                break;
-            };
-            if let Some(stale) = inner.active.remove(&key) {
+        if inner.active.len() >= MAX_ACTIVE_TRACES {
+            // Evict the oldest in-flight entry (an abandoned request),
+            // counting its spans as dropped; a scan suits this rare path.
+            let oldest = inner
+                .active
+                .iter()
+                .min_by_key(|(_, t)| t.begin_seq)
+                .map(|(id, _)| id.clone());
+            if let Some(stale) = oldest.and_then(|id| inner.active.remove(&id)) {
                 self.dropped_spans
                     .fetch_add(stale.spans.len() as u64 + stale.dropped, Ordering::Relaxed);
             }
         }
-        inner.active_order.push_back(request_id.to_owned());
+        let begin_seq = inner.next_begin_seq;
+        inner.next_begin_seq += 1;
         inner.active.insert(
             request_id.to_owned(),
             ActiveTrace {
                 shard,
                 spans: Vec::new(),
                 dropped: 0,
+                begin_seq,
             },
         );
     }
@@ -507,35 +528,36 @@ impl TraceStore {
         }
     }
 
-    /// Completes a request and makes the tail retention decision.
-    /// Returns the reason when the trace was kept, `None` when sampled
-    /// out (or the store is disabled).
+    /// Completes a request and makes the tail retention decision from
+    /// its record. Returns the reason when the trace (and record) was
+    /// kept, `None` when sampled out (or the store is disabled).
     ///
     /// Reason precedence: shed → error → slow → ood → sampled.
-    pub fn complete(&self, request_id: &str, outcome: RequestOutcome) -> Option<RetainReason> {
+    pub fn complete(&self, record: RequestRecord) -> Option<RetainReason> {
         if !store_enabled() {
             return None;
         }
         let keep_one_in = self.keep_one_in.load(Ordering::Relaxed);
         let slow_threshold = f64::from_bits(self.slow_threshold_us.load(Ordering::Relaxed));
+        let total_us = record.total_us();
         let mut inner = lock(&self.inner);
-        let active = inner.active.remove(request_id);
+        let active = inner.active.remove(&record.request_id);
         let p99 = if inner.rolling.window_len() >= P99_MIN_WINDOW {
             inner.rolling.quantile(0.99)
         } else {
             f64::INFINITY
         };
-        inner.rolling.observe(outcome.total_us);
+        inner.rolling.observe(total_us);
         self.completed.fetch_add(1, Ordering::Relaxed);
-        let reason = if outcome.shed {
+        let reason = if record.shed {
             Some(RetainReason::Shed)
-        } else if !outcome.ok {
+        } else if !record.ok {
             Some(RetainReason::Error)
-        } else if outcome.slow || outcome.total_us >= slow_threshold || outcome.total_us > p99 {
+        } else if record.slow || total_us >= slow_threshold || total_us > p99 {
             Some(RetainReason::Slow)
-        } else if outcome.ood {
+        } else if record.ood == Some(true) {
             Some(RetainReason::Ood)
-        } else if sampler_keeps(request_id, keep_one_in) {
+        } else if sampler_keeps(&record.request_id, keep_one_in) {
             Some(RetainReason::Sampled)
         } else {
             None
@@ -544,7 +566,7 @@ impl TraceStore {
             self.not_retained.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        self.retained[reason.index()].fetch_add(1, Ordering::Relaxed);
+        self.retained[reason as usize].fetch_add(1, Ordering::Relaxed);
         let (shard, mut spans, dropped) = match active {
             Some(a) => (a.shard, a.spans, a.dropped),
             None => (None, Vec::new(), 0),
@@ -553,14 +575,10 @@ impl TraceStore {
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let retained = RetainedTrace {
-            request_id: request_id.to_owned(),
+            record,
             shard,
-            op: outcome.op,
             reason,
-            ok: outcome.ok,
-            total_us: outcome.total_us,
             completed_ts_us: epoch().elapsed().as_secs_f64() * 1e6,
-            stages: outcome.stages,
             spans,
             dropped_spans: dropped,
             seq,
@@ -574,27 +592,16 @@ impl TraceStore {
         Some(reason)
     }
 
-    /// Index of retained traces, newest completion first, without
-    /// spans.
-    pub fn summaries(&self) -> Vec<TraceSummary> {
-        let inner = lock(&self.inner);
-        inner
+    /// Visits up to `limit` retained traces, newest completion first,
+    /// under the store lock: completions wait meanwhile, and `visit`
+    /// must not record spans.
+    pub fn visit_newest(&self, limit: usize, visit: impl FnMut(&RetainedTrace)) {
+        lock(&self.inner)
             .ring
             .iter()
             .rev()
-            .map(|t| TraceSummary {
-                request_id: t.request_id.clone(),
-                shard: t.shard,
-                op: t.op.clone(),
-                reason: t.reason,
-                ok: t.ok,
-                total_us: t.total_us,
-                completed_ts_us: t.completed_ts_us,
-                stages: t.stages.clone(),
-                span_count: t.spans.len(),
-                seq: t.seq,
-            })
-            .collect()
+            .take(limit)
+            .for_each(visit);
     }
 
     /// The full retained trace for a request id, spans included.
@@ -603,7 +610,7 @@ impl TraceStore {
         inner
             .ring
             .iter()
-            .find(|t| t.request_id == request_id)
+            .find(|t| t.record.request_id == request_id)
             .cloned()
     }
 
@@ -632,7 +639,7 @@ impl TraceStore {
     pub fn reset(&self) {
         let mut inner = lock(&self.inner);
         inner.active.clear();
-        inner.active_order.clear();
+        inner.next_begin_seq = 0;
         inner.ring.clear();
         inner.rolling = RollingQuantile::new(ROLLING_WINDOW);
         inner.next_seq = 0;
@@ -691,12 +698,29 @@ mod tests {
     use super::*;
     use crate::trace::test_flag_lock;
 
-    fn outcome(op: &str, total_us: f64) -> RequestOutcome {
-        RequestOutcome {
-            op: op.to_owned(),
-            total_us,
-            ..RequestOutcome::default()
+    fn record(request_id: &str, total_us: f64) -> RequestRecord {
+        let mut record = RequestRecord::new(request_id, "predict");
+        record.stages.set(Stage::Total, total_us);
+        record
+    }
+
+    /// A recorded span, as the span layer hands it to the store.
+    fn spam() -> TraceEvent {
+        TraceEvent {
+            name: "spam",
+            ts_us: 0.0,
+            dur_us: 1.0,
+            tid: 0,
+            depth: 0,
+            args: Default::default(),
         }
+    }
+
+    /// The retained request ids, newest first.
+    fn retained_ids(store: &TraceStore) -> Vec<String> {
+        let mut ids = Vec::new();
+        store.visit_newest(usize::MAX, |t| ids.push(t.record.request_id.clone()));
+        ids
     }
 
     /// A private store with sampling off and no slow threshold: nothing
@@ -733,30 +757,30 @@ mod tests {
         set_store_enabled(true);
         let store = quiet_store();
         store.set_slow_threshold_us(1000.0);
-        let shed = RequestOutcome {
+        let shed = RequestRecord {
             ok: false,
             shed: true,
-            ..outcome("predict", 10.0)
+            ..record("req-shed", 10.0)
         };
-        assert_eq!(store.complete("req-shed", shed), Some(RetainReason::Shed));
-        let err = RequestOutcome {
+        assert_eq!(store.complete(shed), Some(RetainReason::Shed));
+        let err = RequestRecord {
             ok: false,
-            ..outcome("predict", 10.0)
+            ..record("req-err", 10.0)
         };
-        assert_eq!(store.complete("req-err", err), Some(RetainReason::Error));
+        assert_eq!(store.complete(err), Some(RetainReason::Error));
         assert_eq!(
-            store.complete("req-slow", outcome("predict", 5000.0)),
+            store.complete(record("req-slow", 5000.0)),
             Some(RetainReason::Slow)
         );
-        let ood = RequestOutcome {
-            ood: true,
-            ..outcome("predict", 10.0)
+        let ood = RequestRecord {
+            ood: Some(true),
+            ..record("req-ood", 10.0)
         };
-        assert_eq!(store.complete("req-ood", ood), Some(RetainReason::Ood));
-        assert_eq!(store.complete("req-fast", outcome("predict", 10.0)), None);
+        assert_eq!(store.complete(ood), Some(RetainReason::Ood));
+        assert_eq!(store.complete(record("req-fast", 10.0)), None);
         store.set_keep_one_in(1);
         assert_eq!(
-            store.complete("req-kept", outcome("predict", 10.0)),
+            store.complete(record("req-kept", 10.0)),
             Some(RetainReason::Sampled)
         );
         let counters = store.counters();
@@ -768,16 +792,16 @@ mod tests {
             counters.retained_total() + counters.not_retained,
             "per-reason counters sum to total completed"
         );
-        assert_eq!(store.summaries().len(), 5);
+        assert_eq!(retained_ids(&store).len(), 5);
         // Precedence: a shed request that is also slow and OOD counts
         // once, as shed.
-        let mixed = RequestOutcome {
+        let mixed = RequestRecord {
             ok: false,
             shed: true,
-            ood: true,
-            ..outcome("predict", 1e9)
+            ood: Some(true),
+            ..record("req-mixed", 1e9)
         };
-        assert_eq!(store.complete("req-mixed", mixed), Some(RetainReason::Shed));
+        assert_eq!(store.complete(mixed), Some(RetainReason::Shed));
         set_store_enabled(false);
     }
 
@@ -800,13 +824,13 @@ mod tests {
         store.set_keep_one_in(8);
         let first: Vec<Option<RetainReason>> = ids
             .iter()
-            .map(|id| store.complete(id, outcome("predict", 1.0)))
+            .map(|id| store.complete(record(id, 1.0)))
             .collect();
         store.reset();
         store.set_keep_one_in(8);
         let second: Vec<Option<RetainReason>> = ids
             .iter()
-            .map(|id| store.complete(id, outcome("predict", 1.0)))
+            .map(|id| store.complete(record(id, 1.0)))
             .collect();
         assert_eq!(first, second);
         set_store_enabled(false);
@@ -821,42 +845,34 @@ mod tests {
         store.set_capacity(3);
         store.set_slow_threshold_us(100.0);
         assert_eq!(
-            store.complete("req-slow-1", outcome("predict", 200.0)),
+            store.complete(record("req-slow-1", 200.0)),
             Some(RetainReason::Slow)
         );
         store.set_keep_one_in(1);
         assert_eq!(
-            store.complete("req-sampled", outcome("predict", 1.0)),
+            store.complete(record("req-sampled", 1.0)),
             Some(RetainReason::Sampled)
         );
         store.set_keep_one_in(0);
         assert_eq!(
-            store.complete("req-slow-2", outcome("predict", 200.0)),
+            store.complete(record("req-slow-2", 200.0)),
             Some(RetainReason::Slow)
         );
         // Overflow: the sampled entry goes first even though a slow one
         // is older.
         assert_eq!(
-            store.complete("req-slow-3", outcome("predict", 200.0)),
+            store.complete(record("req-slow-3", 200.0)),
             Some(RetainReason::Slow)
         );
-        let ids: Vec<String> = store
-            .summaries()
-            .iter()
-            .map(|s| s.request_id.clone())
-            .collect();
+        let ids = retained_ids(&store);
         assert_eq!(ids, ["req-slow-3", "req-slow-2", "req-slow-1"]);
         assert_eq!(store.counters().evicted, 1);
         // All force-retained: the oldest overall goes.
         assert_eq!(
-            store.complete("req-slow-4", outcome("predict", 200.0)),
+            store.complete(record("req-slow-4", 200.0)),
             Some(RetainReason::Slow)
         );
-        let ids: Vec<String> = store
-            .summaries()
-            .iter()
-            .map(|s| s.request_id.clone())
-            .collect();
+        let ids = retained_ids(&store);
         assert_eq!(ids, ["req-slow-4", "req-slow-3", "req-slow-2"]);
         set_store_enabled(false);
     }
@@ -868,15 +884,12 @@ mod tests {
         set_store_enabled(true);
         let store = quiet_store();
         for i in 0..P99_MIN_WINDOW {
-            assert_eq!(
-                store.complete(&format!("req-{i}"), outcome("predict", 100.0)),
-                None
-            );
+            assert_eq!(store.complete(record(&format!("req-{i}"), 100.0)), None);
         }
         // Equal to the window's p99 is not "slow"; well above it is.
-        assert_eq!(store.complete("req-flat", outcome("predict", 100.0)), None);
+        assert_eq!(store.complete(record("req-flat", 100.0)), None);
         assert_eq!(
-            store.complete("req-tail", outcome("predict", 5000.0)),
+            store.complete(record("req-tail", 5000.0)),
             Some(RetainReason::Slow)
         );
         set_store_enabled(false);
@@ -913,12 +926,12 @@ mod tests {
         // Tracing stayed off: nothing landed in the global trace
         // buffers, only in the store.
         assert_eq!(crate::pending_events(), 0);
-        let slow = || RequestOutcome {
+        let slow = |id| RequestRecord {
             slow: true,
-            ..outcome("predict", 10.0)
+            ..record(id, 10.0)
         };
-        assert_eq!(store.complete("req-a", slow()), Some(RetainReason::Slow));
-        assert_eq!(store.complete("req-b", slow()), Some(RetainReason::Slow));
+        assert_eq!(store.complete(slow("req-a")), Some(RetainReason::Slow));
+        assert_eq!(store.complete(slow("req-b")), Some(RetainReason::Slow));
         let a = store.get("req-a").expect("req-a retained");
         let names: Vec<&str> = a.spans.iter().map(|e| e.name).collect();
         assert_eq!(names, ["parse", "batch_inference"]);
@@ -942,22 +955,14 @@ mod tests {
         let store = quiet_store();
         store.begin("req-big", None);
         let ctx = SpanContext::request("req-big", None);
-        let event = TraceEvent {
-            name: "spam",
-            ts_us: 0.0,
-            dur_us: 1.0,
-            tid: 0,
-            depth: 0,
-            args: Vec::new(),
-        };
         for _ in 0..MAX_SPANS_PER_TRACE + 5 {
-            store.record(&ctx, &event);
+            store.record(&ctx, &spam());
         }
-        let slow = RequestOutcome {
+        let slow = RequestRecord {
             slow: true,
-            ..outcome("predict", 1.0)
+            ..record("req-big", 1.0)
         };
-        store.complete("req-big", slow);
+        store.complete(slow);
         let t = store.get("req-big").unwrap();
         assert_eq!(t.spans.len(), MAX_SPANS_PER_TRACE);
         assert_eq!(t.dropped_spans, 5);
@@ -966,11 +971,38 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "trace")]
+    fn in_flight_overflow_evicts_the_oldest_request() {
+        let _guard = test_flag_lock();
+        set_store_enabled(true);
+        let store = quiet_store();
+        store.begin("req-0", Some(1));
+        let first = SpanContext::request("req-0", Some(1));
+        store.record(&first, &spam());
+        store.record(&first, &spam());
+        for i in 1..=MAX_ACTIVE_TRACES {
+            store.begin(&format!("req-{i}"), Some(1));
+        }
+        let counters = store.counters();
+        assert_eq!(counters.active, MAX_ACTIVE_TRACES);
+        assert_eq!(counters.dropped_spans, 2, "the evicted trace's spans count");
+        // The oldest request was evicted: it completes without its
+        // collected trace. The next oldest is still in flight.
+        store.set_keep_one_in(1);
+        store.complete(record("req-0", 1.0));
+        store.complete(record("req-1", 1.0));
+        let evicted = store.get("req-0").unwrap();
+        assert!(evicted.spans.is_empty() && evicted.shard.is_none());
+        assert_eq!(store.get("req-1").unwrap().shard, Some(1));
+        set_store_enabled(false);
+    }
+
+    #[test]
     fn disabled_store_decides_nothing() {
         let _guard = test_flag_lock();
         set_store_enabled(false);
         let store = TraceStore::new();
-        assert_eq!(store.complete("req-x", outcome("predict", 1e9)), None);
+        assert_eq!(store.complete(record("req-x", 1e9)), None);
         assert_eq!(store.counters().completed, 0);
     }
 }

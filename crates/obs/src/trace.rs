@@ -4,12 +4,15 @@
 //! [`span!`](crate::span!) opens an RAII guard; when tracing is enabled
 //! the guard's drop records one complete ("X" phase) event — name,
 //! monotonic start timestamp, duration, thread id, nesting depth, and
-//! optional key/value args — into a buffer owned by the recording
-//! thread. Buffers register themselves in a process-wide list the first
-//! time a thread records, so [`take_events`] / [`write_trace`] can
-//! drain every thread's events (including threads that have since
-//! exited) without any synchronisation on the hot recording path beyond
-//! the buffer's own uncontended mutex.
+//! up to [`MAX_SPAN_ARGS`] typed key/value args — into a buffer owned by
+//! the recording thread. Buffers register themselves in a process-wide
+//! list the first time a thread records, so [`take_events`] /
+//! [`write_trace`] can drain every thread's events (including threads
+//! that have since exited) without any synchronisation on the hot
+//! recording path beyond the buffer's own uncontended mutex.
+//! Args stay typed until a trace is rendered and each buffer is
+//! allocated once, so recording never allocates; a full buffer drops
+//! and counts ([`dropped_spans`]).
 //!
 //! The output of [`write_trace`] is Chrome-trace-compatible JSON: load
 //! `target/trace.json` in `chrome://tracing` or <https://ui.perfetto.dev>.
@@ -21,6 +24,85 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Instant, SystemTime};
+
+/// Most key/value args one span carries (`matmul`'s `m, k, n`).
+pub const MAX_SPAN_ARGS: usize = 3;
+
+/// Events one thread buffers between drains, allocated on its first span;
+/// spans recorded while it is full are dropped and counted.
+pub const SPAN_BUFFER_CAPACITY: usize = 4096;
+
+/// A span's `(key, value)` args in call-site order; unused slots `None`.
+pub type SpanArgs = [Option<(&'static str, ArgValue)>; MAX_SPAN_ARGS];
+
+/// One span argument value, kept typed until the trace is rendered.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ArgValue {
+    /// A count or size (call sites pass `usize`).
+    U64(u64),
+    /// A measurement.
+    F64(f64),
+    /// A flag.
+    Bool(bool),
+    /// A static label.
+    Str(&'static str),
+    /// Owned text: only request ids and model keys (serve spans).
+    Text(String),
+}
+
+impl From<&usize> for ArgValue {
+    fn from(v: &usize) -> Self {
+        ArgValue::U64(*v as u64)
+    }
+}
+
+impl From<&f64> for ArgValue {
+    fn from(v: &f64) -> Self {
+        ArgValue::F64(*v)
+    }
+}
+
+impl From<&bool> for ArgValue {
+    fn from(v: &bool) -> Self {
+        ArgValue::Bool(*v)
+    }
+}
+
+impl From<&&'static str> for ArgValue {
+    fn from(v: &&'static str) -> Self {
+        ArgValue::Str(v)
+    }
+}
+
+impl From<&String> for ArgValue {
+    fn from(v: &String) -> Self {
+        ArgValue::Text(v.clone())
+    }
+}
+
+impl std::fmt::Display for ArgValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgValue::U64(v) => v.fmt(f),
+            ArgValue::F64(v) => v.fmt(f),
+            ArgValue::Bool(v) => v.fmt(f),
+            ArgValue::Str(v) => v.fmt(f),
+            ArgValue::Text(v) => v.fmt(f),
+        }
+    }
+}
+
+/// Packs a `span!` call site's pairs into [`SpanArgs`]; more than
+/// [`MAX_SPAN_ARGS`] pairs fail to compile.
+#[doc(hidden)]
+pub fn span_args<const N: usize>(pairs: [(&'static str, ArgValue); N]) -> SpanArgs {
+    const { assert!(N <= MAX_SPAN_ARGS, "too many span args") };
+    let mut args = SpanArgs::default();
+    for (slot, pair) in args.iter_mut().zip(pairs) {
+        *slot = Some(pair);
+    }
+    args
+}
 
 /// One completed span, in microseconds since the process trace epoch.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +118,14 @@ pub struct TraceEvent {
     /// Nesting depth at the time the span opened (0 = top level).
     pub depth: u32,
     /// Key/value annotations from the `span!` call site.
-    pub args: Vec<(&'static str, String)>,
+    pub args: SpanArgs,
+}
+
+impl TraceEvent {
+    /// The span's `(key, value)` args in call-site order.
+    pub fn args(&self) -> impl Iterator<Item = &(&'static str, ArgValue)> {
+        self.args.iter().flatten()
+    }
 }
 
 /// Tri-state runtime toggle: 0 = uninitialised, 1 = off, 2 = on.
@@ -142,6 +231,22 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+static DROPPED_SPANS: AtomicU64 = AtomicU64::new(0);
+
+/// Spans dropped (so far) because their thread's buffer was full.
+pub fn dropped_spans() -> u64 {
+    DROPPED_SPANS.load(Ordering::Relaxed)
+}
+
+/// Appends `event`, or drops and counts it when `buffer` is full.
+fn push_bounded(buffer: &mut Vec<TraceEvent>, event: TraceEvent) {
+    if buffer.len() < SPAN_BUFFER_CAPACITY {
+        buffer.push(event);
+    } else {
+        DROPPED_SPANS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// TLS owner of a thread's buffer: its `Drop` runs at thread teardown
 /// and moves whatever is still buffered into [`orphaned`], then removes
 /// the buffer from [`sinks`] — spans recorded by short-lived worker
@@ -152,9 +257,12 @@ struct ThreadSink {
 
 impl Drop for ThreadSink {
     fn drop(&mut self) {
-        let mut events = std::mem::take(&mut *lock(&self.buffer));
+        let events = std::mem::take(&mut *lock(&self.buffer));
         if !events.is_empty() {
-            lock(orphaned()).append(&mut events);
+            let mut orphans = lock(orphaned());
+            for event in events {
+                push_bounded(&mut orphans, event);
+            }
         }
         lock(sinks()).retain(|b| !Arc::ptr_eq(b, &self.buffer));
     }
@@ -162,7 +270,8 @@ impl Drop for ThreadSink {
 
 thread_local! {
     static THREAD_BUFFER: ThreadSink = {
-        let buffer: SharedBuffer = Arc::new(Mutex::new(Vec::new()));
+        let buffer: SharedBuffer =
+            Arc::new(Mutex::new(Vec::with_capacity(SPAN_BUFFER_CAPACITY)));
         lock(sinks()).push(Arc::clone(&buffer));
         ThreadSink { buffer }
     };
@@ -192,15 +301,15 @@ fn record(event: TraceEvent) {
         return;
     }
     let mut slot = Some(event);
-    let pushed = THREAD_BUFFER
-        .try_with(|sink| lock(&sink.buffer).push(slot.take().expect("event taken once")))
-        .is_ok();
-    if let Some(event) = slot.take() {
-        debug_assert!(!pushed);
-        // TLS teardown: the thread's buffer is gone (or was never
-        // created this late); record into the orphan buffer instead of
-        // silently dropping the event.
-        lock(orphaned()).push(event);
+    let _ = THREAD_BUFFER.try_with(|sink| {
+        let event = slot.take().expect("event taken once");
+        push_bounded(&mut lock(&sink.buffer), event);
+    });
+    // TLS teardown: the thread's buffer is gone (or was never created
+    // this late); record into the orphan buffer instead of silently
+    // dropping the event.
+    if let Some(event) = slot {
+        push_bounded(&mut lock(orphaned()), event);
     }
 }
 
@@ -218,7 +327,7 @@ struct ActiveSpan {
     start: Instant,
     ts_us: f64,
     depth: u32,
-    args: Vec<(&'static str, String)>,
+    args: SpanArgs,
 }
 
 impl SpanGuard {
@@ -227,7 +336,7 @@ impl SpanGuard {
     /// otherwise the guard is inert. `args` is only invoked on the
     /// recording path.
     #[inline]
-    pub fn open(name: &'static str, args: impl FnOnce() -> Vec<(&'static str, String)>) -> Self {
+    pub fn open(name: &'static str, args: impl FnOnce() -> SpanArgs) -> Self {
         if !enabled() && !crate::store::collecting() {
             return Self { active: None };
         }
@@ -235,7 +344,7 @@ impl SpanGuard {
     }
 
     #[cold]
-    fn open_always(name: &'static str, args: Vec<(&'static str, String)>) -> Self {
+    fn open_always(name: &'static str, args: SpanArgs) -> Self {
         let depth = SPAN_DEPTH.with(|d| {
             let depth = d.get();
             d.set(depth + 1);
@@ -279,30 +388,26 @@ impl Drop for SpanGuard {
 /// // ... timed work ...
 /// ```
 ///
-/// Arguments are `key = expr` pairs; the expressions are formatted with
-/// `Display` and are **not evaluated on the disabled path**.
+/// Arguments are at most [`MAX_SPAN_ARGS`] `key = expr` pairs of
+/// `usize`, `f64`, `bool`, `&'static str` or `String`, kept as typed
+/// [`ArgValue`]s and **not evaluated on the disabled path**.
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {
         $crate::SpanGuard::open($name, || {
-            ::std::vec![$((stringify!($key), ::std::format!("{}", $value))),*]
+            $crate::span_args([$((stringify!($key), $crate::ArgValue::from(&$value))),*])
         })
     };
 }
 
 /// Records an already-measured span: a stage whose boundaries were
 /// captured with plain `Instant`s (queue wait, admission-window wait,
-/// parse time smuggled through a response) rather than an RAII guard.
+/// request parse) rather than an RAII guard.
 /// The synthesized event lands in the same buffers — and routes to the
 /// trace store under the current [`SpanContext`](crate::SpanContext) —
 /// exactly as if a `span!` guard had covered `[start, end]`. A no-op
 /// when neither tracing nor the store is recording.
-pub fn record_span_at(
-    name: &'static str,
-    start: Instant,
-    end: Instant,
-    args: Vec<(&'static str, String)>,
-) {
+pub fn record_span_at(name: &'static str, start: Instant, end: Instant) {
     if !enabled() && !crate::store::collecting() {
         return;
     }
@@ -314,12 +419,13 @@ pub fn record_span_at(
         dur_us,
         tid: thread_id(),
         depth: SPAN_DEPTH.with(Cell::get),
-        args,
+        args: SpanArgs::default(),
     });
 }
 
 /// Drains and returns every buffered event from every thread (plus any
-/// rescued from exited threads), ordered by start timestamp.
+/// rescued from exited threads), ordered by start timestamp; the
+/// buffers keep their allocations.
 pub fn take_events() -> Vec<TraceEvent> {
     let mut events = std::mem::take(&mut *lock(orphaned()));
     for buffer in lock(sinks()).iter() {
@@ -410,8 +516,8 @@ fn render_event(out: &mut String, e: &TraceEvent) {
         e.tid,
         e.depth
     );
-    for (k, v) in &e.args {
-        let _ = write!(out, ",{}:{}", json_string(k), json_string(v));
+    for (k, v) in e.args() {
+        let _ = write!(out, ",{}:{}", json_string(k), json_string(&v.to_string()));
     }
     out.push_str("}}");
 }
@@ -482,7 +588,8 @@ mod tests {
         let events = take_events();
         let outer = events.iter().find(|e| e.name == "outer").expect("outer");
         let inner = events.iter().find(|e| e.name == "inner").expect("inner");
-        assert_eq!(outer.args, vec![("size", "4".to_owned())]);
+        let args: Vec<_> = outer.args().collect();
+        assert_eq!(args, [&("size", ArgValue::U64(4))]);
         assert!(outer.dur_us >= 1000.0, "slept 1ms: {}", outer.dur_us);
         assert!(inner.depth > outer.depth, "inner nests under outer");
         assert!(inner.ts_us >= outer.ts_us);
@@ -544,6 +651,28 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "trace")]
+    fn full_buffer_drops_and_counts_without_growing() {
+        let _guard = flag_lock();
+        set_enabled(true);
+        let _ = take_events();
+        // Allocated once, at capacity; never grown; kept by a drain.
+        let capacity = || THREAD_BUFFER.with(|sink| lock(&sink.buffer).capacity());
+        assert_eq!(capacity(), SPAN_BUFFER_CAPACITY);
+        let dropped_before = dropped_spans();
+        for i in 0..SPAN_BUFFER_CAPACITY + 10 {
+            let _span = crate::span!("fill", i = i);
+        }
+        set_enabled(false);
+        assert_eq!(capacity(), SPAN_BUFFER_CAPACITY);
+        assert_eq!(dropped_spans() - dropped_before, 10);
+        let events = take_events();
+        assert_eq!(events.len(), SPAN_BUFFER_CAPACITY);
+        assert_eq!(events[0].args().next(), Some(&("i", ArgValue::U64(0))));
+        assert_eq!(capacity(), SPAN_BUFFER_CAPACITY);
+    }
+
+    #[test]
     fn chrome_trace_shape() {
         let events = vec![TraceEvent {
             name: "epoch",
@@ -551,13 +680,16 @@ mod tests {
             dur_us: 2.25,
             tid: 3,
             depth: 0,
-            args: vec![("loss", "0.5".to_owned())],
+            args: span_args([
+                ("loss", ArgValue::F64(0.5)),
+                ("phase", ArgValue::Str("fit")),
+            ]),
         }];
         let json = render_chrome_trace(&events);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"name\":\"epoch\""));
-        assert!(json.contains("\"loss\":\"0.5\""));
+        assert!(json.contains("\"loss\":\"0.5\",\"phase\":\"fit\""));
         assert!(json.ends_with("\"displayTimeUnit\":\"ms\"}"));
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use serde_json::{json, Value};
 
 use crate::metrics::PRECISION_NAMES;
-use crate::service::Service;
+use crate::service::{retained_by_reason, stages_json, Service};
 
 /// How many retained traces the index and dashboard list (newest
 /// first). The full ring stays addressable by request id.
@@ -27,43 +27,28 @@ const INDEX_LIMIT: usize = 50;
 pub(crate) fn traces_index() -> Value {
     let store = paragraph_obs::trace_store();
     let counters = store.counters();
-    let mut retained_by_reason = serde_json::Map::new();
-    for (reason, n) in paragraph_obs::RetainReason::ALL
-        .iter()
-        .zip(counters.retained.iter())
-    {
-        retained_by_reason.insert(reason.name(), json!(*n));
-    }
-    let traces: Vec<Value> = store
-        .summaries()
-        .iter()
-        .take(INDEX_LIMIT)
-        .map(|s| {
-            let mut stages = serde_json::Map::new();
-            for (k, v) in &s.stages {
-                stages.insert(k.clone(), json!(*v));
-            }
-            json!({
-                "request_id": s.request_id.clone(),
-                "shard": s.shard,
-                "op": s.op.clone(),
-                "reason": s.reason.name(),
-                "ok": s.ok,
-                "total_us": s.total_us,
-                "completed_ts_us": s.completed_ts_us,
-                "stages": Value::Object(stages),
-                "span_count": s.span_count as u64,
-                "seq": s.seq,
-            })
-        })
-        .collect();
+    let mut traces = Vec::new();
+    store.visit_newest(INDEX_LIMIT, |t| {
+        traces.push(json!({
+            "request_id": t.record.request_id,
+            "shard": t.shard,
+            "op": t.record.op,
+            "reason": t.reason.name(),
+            "ok": t.record.ok,
+            "total_us": t.record.total_us(),
+            "completed_ts_us": t.completed_ts_us,
+            "stages": stages_json(&t.record),
+            "span_count": t.spans.len() as u64,
+            "seq": t.seq,
+        }));
+    });
     json!({
         "enabled": paragraph_obs::store_enabled(),
         "epoch_unix_ns": paragraph_obs::epoch_unix_nanos(),
         "counters": {
             "completed": counters.completed,
             "retained": counters.retained_total(),
-            "retained_by_reason": Value::Object(retained_by_reason),
+            "retained_by_reason": retained_by_reason(&counters),
             "not_retained": counters.not_retained,
             "dropped_spans": counters.dropped_spans,
             "evicted": counters.evicted,
@@ -85,20 +70,17 @@ pub(crate) fn trace_detail(request_id: &str) -> Option<Value> {
     let rendered = paragraph_obs::render_chrome_trace(&trace.spans);
     let mut doc =
         serde_json::from_str::<Value>(&rendered).expect("rendered chrome trace parses as JSON");
-    let mut stages = serde_json::Map::new();
-    for (k, v) in &trace.stages {
-        stages.insert(k.clone(), json!(*v));
-    }
     if let Value::Object(obj) = &mut doc {
-        obj.insert("request_id", json!(trace.request_id.clone()));
+        let record = &trace.record;
+        obj.insert("request_id", json!(record.request_id));
         obj.insert("shard", json!(trace.shard));
-        obj.insert("op", json!(trace.op.clone()));
+        obj.insert("op", json!(record.op));
         obj.insert("reason", json!(trace.reason.name()));
-        obj.insert("ok", json!(trace.ok));
-        obj.insert("total_us", json!(trace.total_us));
+        obj.insert("ok", json!(record.ok));
+        obj.insert("total_us", json!(record.total_us()));
         obj.insert("completed_ts_us", json!(trace.completed_ts_us));
         obj.insert("epoch_unix_ns", json!(paragraph_obs::epoch_unix_nanos()));
-        obj.insert("stages", Value::Object(stages));
+        obj.insert("stages", stages_json(record));
         obj.insert("dropped_spans", json!(trace.dropped_spans));
     }
     Some(doc)
@@ -349,8 +331,8 @@ fn render_traces_section(page: &mut String) {
          <th class=\"l\">op</th><th class=\"l\">reason</th><th class=\"l\">ok</th>\
          <th>total &micro;s</th><th>spans</th></tr>\n",
     );
-    for s in store.summaries().into_iter().take(INDEX_LIMIT) {
-        let shard = s.shard.map_or_else(|| "-".to_owned(), |v| v.to_string());
+    store.visit_newest(INDEX_LIMIT, |t| {
+        let shard = t.shard.map_or_else(|| "-".to_owned(), |v| v.to_string());
         let _ = writeln!(
             page,
             "<tr><td class=\"l\"><a href=\"/debug/traces/{id}\">{id}</a></td>\
@@ -358,15 +340,15 @@ fn render_traces_section(page: &mut String) {
              <td class=\"l\">{}</td>\
              <td class=\"l\"><span class=\"{}\">{}</span></td>\
              <td>{:.1}</td><td>{}</td></tr>",
-            escape(&s.op),
-            s.reason.name(),
-            if s.ok { "ok" } else { "bad" },
-            s.ok,
-            s.total_us,
-            s.span_count,
-            id = escape(&s.request_id),
+            escape(t.record.op),
+            t.reason.name(),
+            if t.record.ok { "ok" } else { "bad" },
+            t.record.ok,
+            t.record.total_us(),
+            t.spans.len(),
+            id = escape(&t.record.request_id),
         );
-    }
+    });
     page.push_str("</table>\n");
 }
 

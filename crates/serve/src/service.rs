@@ -8,12 +8,10 @@
 //! answered inline so they stay responsive when the queue is full.
 //!
 //! Every request gets a service-unique ID (`req-<n>`), runs under a
-//! `serve_request` span, and can leave one structured event-log record
-//! ([`paragraph_obs::Event`]) carrying the per-stage latency breakdown
-//! (parse → cache lookup → queue wait → graph build → inference).
-//! Clients sending `"debug": true` get the same breakdown attached to
-//! the response under `debug`; the `result` payload itself is never
-//! perturbed by instrumentation.
+//! `serve_request` span, and is measured into one [`RequestRecord`]
+//! (outcome plus per-stage latency) that travels with the job and back
+//! beside the reply. Metrics, the event log, the trace store and the
+//! `debug` response field all read it; `result` is never perturbed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +21,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paragraph_netlist::{erc_check, parse_spice, write_flat_spice, Circuit};
-use paragraph_obs::Counter;
+use paragraph_obs::{Counter, RequestRecord, SpanContext, Stage, Stages};
 use serde_json::{json, Value};
 
 use crate::cache::{fnv1a, PredictionCache};
@@ -31,10 +29,6 @@ use crate::drift::{baseline_from_snapshot, DriftConfig, DriftMonitor};
 use crate::metrics::Metrics;
 use crate::protocol::{error_response, ok_response, ErrorCode, Op, Request, ServeError};
 use crate::registry::{ModelRef, ModelRegistry};
-
-/// Key the workers use to smuggle per-stage timings back to [`Service::call`]
-/// on the response envelope; popped before the envelope reaches the client.
-const OBS_KEY: &str = "_obs";
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -64,11 +58,9 @@ pub struct ServiceConfig {
     /// batching, the pre-window behaviour). Defaults from
     /// `PARAGRAPH_BATCH_WINDOW_US` (microseconds, 0 = off).
     pub batch_window: Duration,
-    /// Event-log sampling: log every `n`th successful request (min 1 =
-    /// every request). Errors and slow requests are always logged.
-    pub event_sample: u64,
-    /// Requests at/above this latency count as slow: always event-logged
-    /// and counted in `paragraph_serve_slow_requests_total`.
+    /// Requests at/above this latency count as slow: counted in
+    /// `paragraph_serve_slow_requests_total` and given a `slow_request`
+    /// event.
     pub slow_threshold: Duration,
     /// Drift-monitor tunables.
     pub drift: DriftConfig,
@@ -88,7 +80,6 @@ impl Default for ServiceConfig {
             enable_debug_ops: false,
             max_batch: 8,
             batch_window: batch_window_default(),
-            event_sample: 1,
             slow_threshold: Duration::from_millis(500),
             drift: DriftConfig::default(),
             shard: None,
@@ -112,15 +103,32 @@ fn batch_window_default() -> Duration {
 /// retained traces on the id.
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(0);
 
+/// `req-<n>`, the id of the `n`th request in the process.
+fn request_id(n: u64) -> String {
+    format!("req-{n}")
+}
+
+/// A worker's answer: the response envelope and the request's record.
+type Reply = (Value, RequestRecord);
+
 struct Job {
     request: Request,
-    request_id: String,
     deadline: Instant,
     enqueued: Instant,
-    reply: SyncSender<Value>,
+    /// Filled in by the worker and sent back beside the response.
+    record: RequestRecord,
+    reply: SyncSender<Reply>,
     /// Span-routing context carried with the job so worker-side spans
     /// land in the request's trace; `None` when the store is off.
-    ctx: Option<paragraph_obs::SpanContext>,
+    ctx: Option<SpanContext>,
+}
+
+impl Job {
+    /// Replies with the record. A submitter that gave up (e.g. its
+    /// connection died) must not kill the worker.
+    fn answer(self, response: Value) {
+        let _ = self.reply.send((response, self.record));
+    }
 }
 
 /// Everything [`Service::finalize`] needs once the worker's reply
@@ -132,7 +140,7 @@ struct CallCtx {
     op: Op,
     debug: bool,
     parse_us: f64,
-    request_id: String,
+    request_no: u64,
     started: Instant,
 }
 
@@ -143,7 +151,7 @@ struct CallCtx {
 /// the worker's reply is discarded and no metrics are recorded.
 #[derive(Debug)]
 pub struct PendingCall {
-    rx: Receiver<Value>,
+    rx: Receiver<Reply>,
     ctx: CallCtx,
 }
 
@@ -167,8 +175,6 @@ pub struct Service {
     config: ServiceConfig,
     jobs: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    /// Successful requests seen, for event-log sampling.
-    ok_requests: AtomicU64,
     slow_requests: Arc<Counter>,
     /// Invoked after a successful `reload` refreshed this service, so an
     /// embedder (the sharded gateway) can refresh sibling services that
@@ -236,7 +242,6 @@ impl Service {
             config,
             jobs: Some(tx),
             workers: handles,
-            ok_requests: AtomicU64::new(0),
             slow_requests,
             reload_hook: Mutex::new(None),
         }
@@ -313,80 +318,60 @@ impl Service {
         let started = Instant::now();
         let op = request.op;
         let id = request.id.clone();
+        let request_no = NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed) + 1;
+        let record = RequestRecord::new(request_id(request_no), op.name());
         let ctx = CallCtx {
             id: id.clone(),
             op,
             debug: request.debug,
             parse_us,
-            request_id: format!(
-                "req-{}",
-                NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed) + 1
-            ),
+            request_no,
             started,
         };
         // Open the request's span context before any span: everything
         // recorded on this thread (and, via the job, on the workers)
         // now assembles into one tree in the trace store.
         let span_ctx = paragraph_obs::store_enabled().then(|| {
-            let span_ctx = paragraph_obs::SpanContext::request(&ctx.request_id, self.config.shard);
-            paragraph_obs::trace_store().begin(&ctx.request_id, self.config.shard);
-            span_ctx
+            paragraph_obs::trace_store().begin(&record.request_id, self.config.shard);
+            SpanContext::request(&record.request_id, self.config.shard)
         });
-        let _ctx_guard = span_ctx.as_ref().map(paragraph_obs::SpanContext::enter);
+        let _ctx_guard = span_ctx.as_ref().map(SpanContext::enter);
         if parse_us > 0.0 {
             let parse_start = started
                 .checked_sub(Duration::from_secs_f64(parse_us / 1e6))
                 .unwrap_or(started);
-            paragraph_obs::record_span_at("parse", parse_start, started, Vec::new());
+            paragraph_obs::record_span_at("parse", parse_start, started);
         }
         // The serve_request span guard must drop (recording the span)
         // before `finalize` completes the trace, so inline-answered ops
-        // keep it in their span tree; `Ok` is a resolved response,
-        // `Err` a queued worker receiver.
-        let outcome: Result<Value, mpsc::Receiver<Value>> = {
-            let _span =
-                paragraph_obs::span!("serve_request", request_id = ctx.request_id, op = op.name());
+        // keep it in their span tree.
+        let reply = {
+            let _span = paragraph_obs::span!(
+                "serve_request",
+                request_id = record.request_id,
+                op = op.name()
+            );
             match op {
                 // Control plane: answered inline, never queued.
-                Op::Health => Ok(ok_response(&id, self.health(), None)),
-                Op::Metrics => Ok(ok_response(
-                    &id,
-                    json!({
+                Op::Health => (ok_response(&id, self.health(), None), record),
+                Op::Metrics => {
+                    let metrics = json!({
                         "metrics": self.metrics.snapshot(&self.cache),
                         "prometheus": self.metrics.render(&self.cache),
-                    }),
-                    None,
-                )),
-                Op::Reload => Ok(match self.registry.reload() {
-                    Ok(report) => {
-                        self.refresh_after_reload();
-                        if let Some(hook) = lock_hook(&self.reload_hook).as_ref() {
-                            hook();
-                        }
-                        ok_response(
-                            &id,
-                            json!({"models": report.models, "ensemble": report.ensemble}),
-                            None,
-                        )
-                    }
-                    Err(e) => error_response(
-                        &id,
-                        &ServeError::new(ErrorCode::Internal, format!("reload failed: {e}")),
-                    ),
-                }),
+                    });
+                    (ok_response(&id, metrics, None), record)
+                }
+                Op::Reload => (self.reload(&id), record),
                 // Data plane: through the bounded queue.
                 Op::Predict | Op::Stats | Op::Erc | Op::DebugPanic => {
-                    match self.try_enqueue(request, &ctx.request_id, started, span_ctx.clone()) {
-                        Ok(rx) => Err(rx),
-                        Err(response) => Ok(response),
+                    match self.try_enqueue(request, record, started, span_ctx.clone()) {
+                        Ok(rx) => return Submitted::Pending(PendingCall { rx, ctx }),
+                        Err(rejected) => *rejected,
                     }
                 }
             }
         };
-        match outcome {
-            Ok(response) => Submitted::Done(self.finalize(ctx, response)),
-            Err(rx) => Submitted::Pending(PendingCall { rx, ctx }),
-        }
+        Submitted::Done(self.finalize(ctx, reply))
     }
 
     /// Non-blocking check on a pending call: `Ok(response)` once the
@@ -395,29 +380,49 @@ impl Service {
     #[allow(clippy::missing_errors_doc)]
     pub fn poll(&self, call: PendingCall) -> Result<Value, PendingCall> {
         match call.rx.try_recv() {
-            Ok(response) => Ok(self.finalize(call.ctx, response)),
+            Ok(reply) => Ok(self.finalize(call.ctx, reply)),
             Err(mpsc::TryRecvError::Empty) => Err(call),
-            Err(mpsc::TryRecvError::Disconnected) => {
-                let response = error_response(
-                    &call.ctx.id,
-                    &ServeError::new(ErrorCode::Internal, "worker dropped the request"),
-                );
-                Ok(self.finalize(call.ctx, response))
-            }
+            Err(mpsc::TryRecvError::Disconnected) => Ok(self.worker_dropped(call.ctx)),
         }
     }
 
     /// Blocks until a pending call resolves.
     pub fn wait(&self, call: PendingCall) -> Value {
         match call.rx.recv() {
-            Ok(response) => self.finalize(call.ctx, response),
-            Err(_) => {
-                let response = error_response(
-                    &call.ctx.id,
-                    &ServeError::new(ErrorCode::Internal, "worker dropped the request"),
-                );
-                self.finalize(call.ctx, response)
+            Ok(reply) => self.finalize(call.ctx, reply),
+            Err(_) => self.worker_dropped(call.ctx),
+        }
+    }
+
+    /// Finalizes a queued request whose worker dropped it unanswered.
+    fn worker_dropped(&self, ctx: CallCtx) -> Value {
+        let response = error_response(
+            &ctx.id,
+            &ServeError::new(ErrorCode::Internal, "worker dropped the request"),
+        );
+        let record = RequestRecord::new(request_id(ctx.request_no), ctx.op.name());
+        self.finalize(ctx, (response, record))
+    }
+
+    /// The `reload` op, refreshing this service and (via the hook) its
+    /// sibling shards.
+    fn reload(&self, id: &Value) -> Value {
+        match self.registry.reload() {
+            Ok(report) => {
+                self.refresh_after_reload();
+                if let Some(hook) = lock_hook(&self.reload_hook).as_ref() {
+                    hook();
+                }
+                ok_response(
+                    id,
+                    json!({"models": report.models, "ensemble": report.ensemble}),
+                    None,
+                )
             }
+            Err(e) => error_response(
+                id,
+                &ServeError::new(ErrorCode::Internal, format!("reload failed: {e}")),
+            ),
         }
     }
 
@@ -440,222 +445,116 @@ impl Service {
         *lock_hook(&self.reload_hook) = Some(Box::new(hook));
     }
 
-    /// Records metrics and runs the shared post-processing for one
-    /// resolved request. Every response — inline, queued, or synthesised
-    /// on a dead worker — funnels through here exactly once.
-    fn finalize(&self, ctx: CallCtx, mut response: Value) -> Value {
+    /// Completes the record (parse time, total latency, outcome) and
+    /// feeds it to metrics, the `debug` field, the event log and the
+    /// trace store. Every response funnels through here exactly once.
+    fn finalize(&self, ctx: CallCtx, (mut response, mut record): Reply) -> Value {
         let latency = ctx.started.elapsed();
-        let ok = response["ok"].as_bool() == Some(true);
-        self.metrics.record(ctx.op, latency, ok);
-        self.finish_request(
-            &ctx.request_id,
-            ctx.op,
-            ctx.debug,
-            ctx.parse_us,
-            latency,
-            ok,
-            &mut response,
-        );
-        response
-    }
-
-    /// Post-processing common to every request: pops the workers'
-    /// stage-timing payload off the envelope, maintains the slow-request
-    /// log, emits the (sampled) event record, and attaches the `debug`
-    /// breakdown when the client asked for it. Never touches `result`.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_request(
-        &self,
-        request_id: &str,
-        op: Op,
-        debug: bool,
-        parse_us: f64,
-        latency: Duration,
-        ok: bool,
-        response: &mut Value,
-    ) {
-        let worker_obs = match response {
-            Value::Object(m) => m.remove(OBS_KEY),
-            _ => None,
-        };
-        let latency_us = latency.as_secs_f64() * 1e6;
-        let mut stages = serde_json::Map::new();
-        stages.insert("parse_us", json!(parse_us));
-        let mut model = None;
-        let mut cache_hit = None;
-        let mut member_max_v = None;
-        let mut batched = None;
-        let mut ood = None;
-        if let Some(Value::Object(mut o)) = worker_obs {
-            if let Some(Value::Object(s)) = o.remove("stages") {
-                for (k, v) in s.iter() {
-                    stages.insert(k.clone(), v.clone());
-                }
-            }
-            model = o.remove("model").and_then(|v| v.as_str().map(String::from));
-            cache_hit = o.remove("cache_hit").and_then(|v| v.as_bool());
-            member_max_v = o.remove("member_max_v").and_then(|v| v.as_f64());
-            batched = o.remove("batched").and_then(|v| v.as_u64());
-            ood = o.remove("ood").and_then(|v| v.as_bool());
-        }
-        stages.insert("total_us", json!(latency_us));
-        let slow = latency >= self.config.slow_threshold;
-        if slow {
+        record.ok = response["ok"].as_bool() == Some(true);
+        record.slow = latency >= self.config.slow_threshold;
+        record.stages.set(Stage::Parse, ctx.parse_us);
+        record.stages.set(Stage::Total, latency.as_secs_f64() * 1e6);
+        self.metrics.record(ctx.op, latency, record.ok);
+        if record.slow {
             self.slow_requests.inc();
+        }
+        if ctx.debug {
+            response["debug"] = debug_json(&record);
+        }
+        if paragraph_obs::events_enabled() {
+            self.emit_events(&record);
         }
         if paragraph_obs::store_enabled() {
             // Tail retention: the request is over, its outcome known —
             // decide now whether its span tree is worth keeping.
-            let shed = matches!(
-                response["error"]["code"].as_str(),
-                Some("overloaded" | "deadline_exceeded")
-            );
-            let stage_pairs = stages
-                .iter()
-                .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f)))
-                .collect();
-            paragraph_obs::trace_store().complete(
-                request_id,
-                paragraph_obs::RequestOutcome {
-                    op: op.name().to_owned(),
-                    ok,
-                    shed,
-                    slow,
-                    ood: ood.unwrap_or(false),
-                    total_us: latency_us,
-                    stages: stage_pairs,
-                },
-            );
+            paragraph_obs::trace_store().complete(record);
         }
-        let sampled = if ok {
-            let n = self.ok_requests.fetch_add(1, Ordering::Relaxed);
-            n.is_multiple_of(self.config.event_sample.max(1))
-        } else {
-            true // errors are always logged
-        };
-        if paragraph_obs::events_enabled() && (sampled || slow) {
-            let stages_json = serde_json::to_string(&Value::Object(stages.clone()))
-                .expect("stage timings serialise");
-            let mut event = paragraph_obs::Event::new("request")
-                .str_field("request_id", request_id)
-                .str_field("op", op.name())
+        response
+    }
+
+    /// The record's `request` event, plus a `slow_request` event when it
+    /// crossed the slow threshold.
+    fn emit_events(&self, record: &RequestRecord) {
+        let json = |v: &Value| serde_json::to_string(v).expect("record fields serialise");
+        let mut event = paragraph_obs::Event::new("request")
+            .str_field("request_id", &record.request_id)
+            .str_field("op", record.op)
+            .str_field("span", "serve_request")
+            .bool_field("ok", record.ok)
+            .bool_field("slow", record.slow)
+            .f64_field("latency_us", record.total_us())
+            .raw_field("stages", &json(&stages_json(record)));
+        let mut fields = serde_json::Map::new();
+        push_predict_fields(record, &mut fields);
+        for (key, value) in fields.iter() {
+            event = event.raw_field(key, &json(value));
+        }
+        event.emit();
+        if record.slow {
+            paragraph_obs::Event::new("slow_request")
+                .str_field("request_id", &record.request_id)
+                .str_field("op", record.op)
                 .str_field("span", "serve_request")
-                .bool_field("ok", ok)
-                .bool_field("slow", slow)
-                .f64_field("latency_us", latency_us)
-                .raw_field("stages", &stages_json);
-            if let Some(m) = &model {
-                event = event.str_field("model", m);
-            }
-            if let Some(c) = cache_hit {
-                event = event.bool_field("cache_hit", c);
-            }
-            if let Some(v) = member_max_v {
-                event = event.f64_field("member_max_v", v);
-            }
-            if let Some(b) = batched {
-                event = event.u64_field("batched", b);
-            }
-            if let Some(o) = ood {
-                event = event.bool_field("ood", o);
-            }
-            event.emit();
-            if slow {
-                paragraph_obs::Event::new("slow_request")
-                    .str_field("request_id", request_id)
-                    .str_field("op", op.name())
-                    .str_field("span", "serve_request")
-                    .f64_field("latency_us", latency_us)
-                    .f64_field(
-                        "threshold_us",
-                        self.config.slow_threshold.as_secs_f64() * 1e6,
-                    )
-                    .emit();
-            }
-        }
-        if debug {
-            let mut dbg = serde_json::Map::new();
-            dbg.insert("request_id", json!(request_id));
-            dbg.insert("span", json!("serve_request"));
-            dbg.insert("slow", json!(slow));
-            if let Some(m) = model {
-                dbg.insert("model", json!(m));
-            }
-            if let Some(c) = cache_hit {
-                dbg.insert("cache_hit", json!(c));
-            }
-            if let Some(v) = member_max_v {
-                dbg.insert("member_max_v", json!(v));
-            }
-            if let Some(b) = batched {
-                dbg.insert("batched", json!(b));
-            }
-            if let Some(o) = ood {
-                dbg.insert("ood", json!(o));
-            }
-            dbg.insert("stages", Value::Object(stages));
-            response["debug"] = Value::Object(dbg);
+                .f64_field("latency_us", record.total_us())
+                .f64_field(
+                    "threshold_us",
+                    self.config.slow_threshold.as_secs_f64() * 1e6,
+                )
+                .emit();
         }
     }
 
     /// Queues one data-plane request, returning the reply channel on
-    /// success or the rejection envelope (`overloaded` / pool gone).
+    /// success or the rejection (`overloaded` / pool gone), boxed: the
+    /// rare path carries the bulk.
     fn try_enqueue(
         &self,
         request: Request,
-        request_id: &str,
+        record: RequestRecord,
         accepted: Instant,
-        span_ctx: Option<paragraph_obs::SpanContext>,
-    ) -> Result<Receiver<Value>, Value> {
-        let id = request.id.clone();
+        span_ctx: Option<SpanContext>,
+    ) -> Result<Receiver<Reply>, Box<Reply>> {
         let deadline = accepted
             + request
                 .deadline_ms
                 .map(Duration::from_millis)
                 .unwrap_or(self.config.default_deadline);
-        let (reply_tx, reply_rx) = mpsc::sync_channel::<Value>(1);
+        let (reply_tx, reply_rx) = mpsc::sync_channel::<Reply>(1);
         let job = Job {
             request,
-            request_id: request_id.to_owned(),
             deadline,
             enqueued: accepted,
+            record,
             reply: reply_tx,
             ctx: span_ctx,
         };
         let sender = self.jobs.as_ref().expect("pool alive while service exists");
-        match sender.try_send(job) {
+        let (job, err) = match sender.try_send(job) {
             Ok(()) => {
                 self.metrics.queue_entered();
-                Ok(reply_rx)
+                return Ok(reply_rx);
             }
-            Err(TrySendError::Full(_)) => Err(error_response(
-                &id,
-                &ServeError::new(
-                    ErrorCode::Overloaded,
-                    format!(
-                        "request queue full ({} queued); retry later",
-                        self.config.queue_capacity
-                    ),
-                ),
-            )),
-            Err(TrySendError::Disconnected(_)) => Err(error_response(
-                &id,
-                &ServeError::new(ErrorCode::Internal, "worker pool is gone"),
-            )),
-        }
+            Err(TrySendError::Full(mut job)) => {
+                job.record.shed = true;
+                let capacity = self.config.queue_capacity;
+                let msg = format!("request queue full ({capacity} queued); retry later");
+                (job, ServeError::new(ErrorCode::Overloaded, msg))
+            }
+            Err(TrySendError::Disconnected(job)) => (
+                job,
+                ServeError::new(ErrorCode::Internal, "worker pool is gone"),
+            ),
+        };
+        Err(Box::new((
+            error_response(&job.request.id, &err),
+            job.record,
+        )))
     }
 
     fn health(&self) -> Value {
         let snapshot = self.registry.current();
         let (degraded, reasons) = self.drift.status();
         let store_counters = paragraph_obs::trace_store().counters();
-        let mut retained_by_reason = serde_json::Map::new();
-        for (reason, n) in paragraph_obs::RetainReason::ALL
-            .iter()
-            .zip(store_counters.retained.iter())
-        {
-            retained_by_reason.insert(reason.name(), json!(*n));
-        }
         let opt = |v: Option<f64>| v.map_or(Value::Null, |v| json!(v));
         let model_registry: Vec<Value> = snapshot
             .models
@@ -702,6 +601,10 @@ impl Service {
                 "ood_requests_total": self.drift.ood_requests_total(),
                 "ood_fraction": self.drift.ood_fraction(),
             },
+            "trace": {
+                "enabled": paragraph_obs::enabled(),
+                "dropped_spans": paragraph_obs::dropped_spans(),
+            },
             "events": {
                 "enabled": paragraph_obs::events_enabled(),
                 "dropped": paragraph_obs::dropped_events(),
@@ -715,7 +618,7 @@ impl Service {
                 "enabled": paragraph_obs::store_enabled(),
                 "epoch_unix_ns": paragraph_obs::epoch_unix_nanos(),
                 "completed": store_counters.completed,
-                "retained": Value::Object(retained_by_reason),
+                "retained": retained_by_reason(&store_counters),
                 "not_retained": store_counters.not_retained,
                 "dropped_spans": store_counters.dropped_spans,
                 "evicted": store_counters.evicted,
@@ -748,13 +651,57 @@ fn lock_hook(
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Attaches the worker's stage-timing payload to the response envelope
-/// under [`OBS_KEY`]; [`Service::call`] pops it before the envelope
-/// leaves the service, so the wire payload is unchanged.
-fn attach_obs(response: &mut Value, obs: Value) {
-    if let Value::Object(m) = response {
-        m.insert(OBS_KEY, obs);
+/// A record's stages as `{"parse_us": .., ..., "total_us": ..}`: the one
+/// renderer behind the `debug` field, the event and `/debug/traces`.
+pub(crate) fn stages_json(record: &RequestRecord) -> Value {
+    let mut stages = serde_json::Map::new();
+    for (key, us) in record.stages.iter() {
+        stages.insert(key, json!(us));
     }
+    Value::Object(stages)
+}
+
+/// Per-reason retention counters, `{"slow": n, ...}`.
+pub(crate) fn retained_by_reason(counters: &paragraph_obs::StoreCounters) -> Value {
+    let mut by_reason = serde_json::Map::new();
+    for (reason, n) in paragraph_obs::RetainReason::ALL
+        .iter()
+        .zip(&counters.retained)
+    {
+        by_reason.insert(reason.name(), json!(*n));
+    }
+    Value::Object(by_reason)
+}
+
+/// Appends the record's predict fields that are set (`model`, ...,
+/// `ood`) to `out`, for the `debug` field and the `request` event.
+fn push_predict_fields(record: &RequestRecord, out: &mut serde_json::Map) {
+    if let Some(m) = &record.model {
+        out.insert("model", json!(m));
+    }
+    if let Some(c) = record.cache_hit {
+        out.insert("cache_hit", json!(c));
+    }
+    if let Some(v) = record.member_max_v {
+        out.insert("member_max_v", json!(v));
+    }
+    if let Some(b) = record.batched {
+        out.insert("batched", json!(b));
+    }
+    if let Some(o) = record.ood {
+        out.insert("ood", json!(o));
+    }
+}
+
+/// The `debug` response field.
+fn debug_json(record: &RequestRecord) -> Value {
+    let mut dbg = serde_json::Map::new();
+    dbg.insert("request_id", json!(record.request_id));
+    dbg.insert("span", json!("serve_request"));
+    dbg.insert("slow", json!(record.slow));
+    push_predict_fields(record, &mut dbg);
+    dbg.insert("stages", stages_json(record));
+    Value::Object(dbg)
 }
 
 /// Latest instant an admission window may stay open for `job` without
@@ -837,78 +784,64 @@ fn worker_loop(
         }
         let collected = Instant::now();
         let mut predict_jobs = Vec::new();
-        for (job, popped) in jobs {
+        for (mut job, popped) in jobs {
             metrics.queue_left();
-            let queue_wait_us = popped.saturating_duration_since(job.enqueued).as_secs_f64() * 1e6;
-            let window_wait_us = collected.saturating_duration_since(popped).as_secs_f64() * 1e6;
-            let id = job.request.id.clone();
+            // Measured stages reach the record only with a response that
+            // reports them (a failed predict reports none).
+            let mut stages = Stages::default();
+            let window_us = collected.saturating_duration_since(popped).as_secs_f64() * 1e6;
+            let queue_us = popped.saturating_duration_since(job.enqueued).as_secs_f64() * 1e6;
+            stages.set(Stage::QueueWait, queue_us);
+            stages.set(Stage::WindowWait, window_us);
             {
                 // The wait stages were measured with plain instants;
                 // synthesize their spans under the job's context so
                 // the request's tree shows them.
-                let _ctx = job.ctx.as_ref().map(paragraph_obs::SpanContext::enter);
-                paragraph_obs::record_span_at("queue_wait", job.enqueued, popped, Vec::new());
-                if window_wait_us > 0.0 {
-                    paragraph_obs::record_span_at("window_wait", popped, collected, Vec::new());
+                let _ctx = job.ctx.as_ref().map(SpanContext::enter);
+                paragraph_obs::record_span_at("queue_wait", job.enqueued, popped);
+                if window_us > 0.0 {
+                    paragraph_obs::record_span_at("window_wait", popped, collected);
                 }
             }
             if Instant::now() > job.deadline {
-                let mut response = error_response(
-                    &id,
+                job.record.stages = stages;
+                job.record.shed = true;
+                let response = error_response(
+                    &job.request.id,
                     &ServeError::new(
                         ErrorCode::DeadlineExceeded,
                         "deadline passed before a worker picked the request up",
                     ),
                 );
-                attach_obs(
-                    &mut response,
-                    json!({"stages": {
-                        "queue_wait_us": queue_wait_us,
-                        "window_wait_us": window_wait_us,
-                    }}),
-                );
-                let _ = job.reply.send(response);
+                job.answer(response);
                 continue;
             }
             if job.request.op == Op::Predict {
-                predict_jobs.push(QueuedPredict {
-                    job,
-                    queue_wait_us,
-                    window_wait_us,
-                });
+                predict_jobs.push((job, stages));
                 continue;
             }
             let exec_started = Instant::now();
             let outcome = {
                 // Guard dropped before the reply is sent so every span
                 // lands ahead of the submitter's retention decision.
-                let _ctx = job.ctx.as_ref().map(paragraph_obs::SpanContext::enter);
+                let _ctx = job.ctx.as_ref().map(SpanContext::enter);
                 let _span = paragraph_obs::span!("execute", op = job.request.op.name());
                 catch_unwind(AssertUnwindSafe(|| execute(&job.request, debug_ops)))
             };
-            let exec_us = exec_started.elapsed().as_secs_f64() * 1e6;
-            let mut response = match outcome {
-                Ok(Ok(result)) => ok_response(&id, result, None),
-                Ok(Err(err)) => error_response(&id, &err),
+            stages.set(Stage::Exec, exec_started.elapsed().as_secs_f64() * 1e6);
+            job.record.stages = stages;
+            let response = match outcome {
+                Ok(Ok(result)) => ok_response(&job.request.id, result, None),
+                Ok(Err(err)) => error_response(&job.request.id, &err),
                 Err(panic) => error_response(
-                    &id,
+                    &job.request.id,
                     &ServeError::new(
                         ErrorCode::Internal,
                         format!("worker panicked: {}", panic_message(&panic)),
                     ),
                 ),
             };
-            attach_obs(
-                &mut response,
-                json!({"stages": {
-                    "queue_wait_us": queue_wait_us,
-                    "window_wait_us": window_wait_us,
-                    "exec_us": exec_us,
-                }}),
-            );
-            // The caller may have given up (e.g. its connection died);
-            // that must not kill the worker.
-            let _ = job.reply.send(response);
+            job.answer(response);
         }
         if !predict_jobs.is_empty() {
             predict_many(predict_jobs, registry, cache, metrics, drift);
@@ -916,22 +849,13 @@ fn worker_loop(
     }
 }
 
-/// A predict job as it leaves the worker's collection phase, with the
-/// time it spent queued and the time the admission window held it.
-struct QueuedPredict {
-    job: Job,
-    queue_wait_us: f64,
-    window_wait_us: f64,
-}
-
 /// One predict job that parsed and resolved but missed the cache.
 struct PendingPredict {
     job: Job,
     circuit: Circuit,
     content_hash: u64,
-    queue_wait_us: f64,
-    window_wait_us: f64,
-    lookup_us: f64,
+    /// Stages measured so far (waits and cache lookup).
+    stages: Stages,
     /// Drift monitor's verdict on this request's feature rows.
     ood: bool,
 }
@@ -943,7 +867,7 @@ struct PendingPredict {
 /// it alone; a panic inside one model group fails only that group's
 /// jobs.
 fn predict_many(
-    jobs: Vec<QueuedPredict>,
+    jobs: Vec<(Job, Stages)>,
     registry: &Arc<ModelRegistry>,
     cache: &Arc<PredictionCache>,
     metrics: &Arc<Metrics>,
@@ -952,19 +876,14 @@ fn predict_many(
     let snapshot = registry.current();
     let mut groups: std::collections::BTreeMap<String, (ModelRef, Vec<PendingPredict>)> =
         std::collections::BTreeMap::new();
-    for QueuedPredict {
-        job,
-        queue_wait_us,
-        window_wait_us,
-    } in jobs
-    {
-        let id = job.request.id.clone();
-        let ctx_guard = job.ctx.as_ref().map(paragraph_obs::SpanContext::enter);
+    for (mut job, mut stages) in jobs {
+        let ctx_guard = job.ctx.as_ref().map(SpanContext::enter);
         let lookup_started = Instant::now();
         let circuit = match required_netlist(&job.request) {
             Ok(c) => c,
             Err(err) => {
-                let _ = job.reply.send(error_response(&id, &err));
+                let response = error_response(&job.request.id, &err);
+                job.answer(response);
                 continue;
             }
         };
@@ -977,36 +896,27 @@ fn predict_many(
             Ok(resolved) => resolved,
             Err(m) => {
                 let err = ServeError::new(ErrorCode::UnknownModel, m);
-                let _ = job.reply.send(error_response(&id, &err));
+                let response = error_response(&job.request.id, &err);
+                job.answer(response);
                 continue;
             }
         };
         let content_hash = fnv1a(&write_flat_spice(&circuit));
-        if let Some(hit) = cache.get(&key, content_hash) {
-            let lookup_done = Instant::now();
-            let lookup_us = lookup_done.duration_since(lookup_started).as_secs_f64() * 1e6;
-            paragraph_obs::record_span_at("cache_lookup", lookup_started, lookup_done, Vec::new());
-            let mut response = ok_response(&id, (*hit).clone(), Some(true));
-            attach_obs(
-                &mut response,
-                json!({
-                    "stages": {
-                        "queue_wait_us": queue_wait_us,
-                        "window_wait_us": window_wait_us,
-                        "cache_lookup_us": lookup_us,
-                    },
-                    "model": key,
-                    "cache_hit": true,
-                    "ood": ood,
-                }),
-            );
-            drop(ctx_guard);
-            let _ = job.reply.send(response);
+        let hit = cache.get(&key, content_hash);
+        let lookup_done = Instant::now();
+        paragraph_obs::record_span_at("cache_lookup", lookup_started, lookup_done);
+        drop(ctx_guard);
+        let lookup_us = lookup_done.duration_since(lookup_started).as_secs_f64() * 1e6;
+        stages.set(Stage::CacheLookup, lookup_us);
+        if let Some(hit) = hit {
+            job.record.stages = stages;
+            job.record.model = Some(key);
+            job.record.cache_hit = Some(true);
+            job.record.ood = Some(ood);
+            let response = ok_response(&job.request.id, (*hit).clone(), Some(true));
+            job.answer(response);
             continue;
         }
-        let lookup_done = Instant::now();
-        let lookup_us = lookup_done.duration_since(lookup_started).as_secs_f64() * 1e6;
-        paragraph_obs::record_span_at("cache_lookup", lookup_started, lookup_done, Vec::new());
         groups
             .entry(key)
             .or_insert_with(|| (model, Vec::new()))
@@ -1015,9 +925,7 @@ fn predict_many(
                 job,
                 circuit,
                 content_hash,
-                queue_wait_us,
-                window_wait_us,
-                lookup_us,
+                stages,
                 ood,
             });
     }
@@ -1036,16 +944,16 @@ fn predict_many(
         let batch_ctx = if pending.iter().any(|p| p.job.ctx.is_some()) {
             let shard = pending
                 .iter()
-                .find_map(|p| p.job.ctx.as_ref().and_then(|c| c.shard()));
-            Some(paragraph_obs::SpanContext::batch(
-                pending.iter().map(|p| p.job.request_id.as_str()),
+                .find_map(|p| p.job.ctx.as_ref().and_then(SpanContext::shard));
+            Some(SpanContext::batch(
+                pending.iter().map(|p| p.job.record.request_id.as_str()),
                 shard,
             ))
         } else {
             None
         };
         let outcome = {
-            let _batch_guard = batch_ctx.as_ref().map(paragraph_obs::SpanContext::enter);
+            let _batch_guard = batch_ctx.as_ref().map(SpanContext::enter);
             let _span = paragraph_obs::span!("inference", model = key, jobs = pending.len());
             catch_unwind(AssertUnwindSafe(|| model.predict_circuits(&circuits)))
         };
@@ -1061,39 +969,28 @@ fn predict_many(
                 for ((p, preds), member_max_v) in
                     pending.into_iter().zip(per_circuit).zip(member_max_v)
                 {
-                    let ctx_guard = p.job.ctx.as_ref().map(paragraph_obs::SpanContext::enter);
+                    let mut job = p.job;
+                    let ctx_guard = job.ctx.as_ref().map(SpanContext::enter);
                     let response = {
                         let _span =
-                            paragraph_obs::span!("predict_job", request_id = p.job.request_id);
-                        let id = p.job.request.id.clone();
+                            paragraph_obs::span!("predict_job", request_id = job.record.request_id);
                         let result = render_prediction(&key, &model, &p.circuit, &preds);
                         cache.put(&key, p.content_hash, Arc::new(result.clone()));
-                        // A batched job waited for the whole batch, so
-                        // its stages are the batch's shared timings.
-                        let stages = json!({
-                            "queue_wait_us": p.queue_wait_us,
-                            "window_wait_us": p.window_wait_us,
-                            "cache_lookup_us": p.lookup_us,
-                            "graph_build_us": profile.graph_build_us,
-                            "inference_us": profile.inference_us,
-                        });
-                        let mut obs = serde_json::Map::new();
-                        if let Some(v) = member_max_v {
-                            obs.insert("member_max_v", json!(v));
-                        }
-                        if batched > 1 {
-                            obs.insert("batched", json!(batched as u64));
-                        }
-                        obs.insert("stages", stages);
-                        obs.insert("model", json!(key.clone()));
-                        obs.insert("cache_hit", json!(false));
-                        obs.insert("ood", json!(p.ood));
-                        let mut response = ok_response(&id, result, Some(false));
-                        attach_obs(&mut response, Value::Object(obs));
-                        response
+                        ok_response(&job.request.id, result, Some(false))
                     };
                     drop(ctx_guard);
-                    let _ = p.job.reply.send(response);
+                    // A batched job waited for the whole batch, so its
+                    // stages are the batch's shared timings.
+                    let mut stages = p.stages;
+                    stages.set(Stage::GraphBuild, profile.graph_build_us);
+                    stages.set(Stage::Inference, profile.inference_us);
+                    job.record.stages = stages;
+                    job.record.model = Some(key.clone());
+                    job.record.cache_hit = Some(false);
+                    job.record.ood = Some(p.ood);
+                    job.record.member_max_v = member_max_v;
+                    job.record.batched = (batched > 1).then_some(batched as u64);
+                    job.answer(response);
                 }
             }
             Err(panic) => {
@@ -1102,7 +999,8 @@ fn predict_many(
                     format!("worker panicked: {}", panic_message(&panic)),
                 );
                 for p in pending {
-                    let _ = p.job.reply.send(error_response(&p.job.request.id, &err));
+                    let response = error_response(&p.job.request.id, &err);
+                    p.job.answer(response);
                 }
             }
         }

@@ -7,9 +7,11 @@
 //!    enabled run are bitwise identical to an uninstrumented run, and
 //! 3. a run with tracing *and* the event log enabled is still bitwise
 //!    identical (parameters and predictions), and flushes a
-//!    schema-valid `events.jsonl` sample.
+//!    schema-valid `events.jsonl` sample, and
+//! 4. disabled instrumentation stays within 2% of the matmul it guards.
 
 use std::sync::Mutex;
+use std::time::Instant;
 
 use paragraph::prelude::*;
 use paragraph_layout::LayoutConfig;
@@ -245,13 +247,7 @@ fn trace_store_does_not_perturb_predictions() {
         let _span = paragraph_obs::span!("parity_probe");
         predict_bits(&model, &prepared)
     };
-    let reason = store.complete(
-        "obs-parity",
-        paragraph_obs::RequestOutcome {
-            op: "predict".into(),
-            ..Default::default()
-        },
-    );
+    let reason = store.complete(paragraph_obs::RequestRecord::new("obs-parity", "predict"));
     paragraph_obs::set_store_enabled(false);
 
     assert_eq!(
@@ -269,4 +265,117 @@ fn trace_store_does_not_perturb_predictions() {
         );
     }
     store.reset();
+}
+
+/// Nanoseconds per call of `f`, over `iters` calls.
+fn ns_per_call(iters: usize, mut f: impl FnMut(usize)) -> f64 {
+    let start = Instant::now();
+    for i in 0..iters {
+        f(i);
+    }
+    start.elapsed().as_secs_f64() * 1e9 / iters as f64
+}
+
+/// The observability budget: a disabled span, a disabled event, and an
+/// enabled trace store's not-retained request cycle each cost at most
+/// 2% of the 256x256 matmul a span guards. The enabled paths are probed
+/// first, so a broken feature gate cannot pass as free.
+#[test]
+fn disabled_instrumentation_stays_within_two_percent_of_a_matmul() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    paragraph_obs::set_enabled(true);
+    drop(paragraph_obs::span!("overhead_probe"));
+    let probe = paragraph_obs::take_events();
+    paragraph_obs::set_events_enabled(true);
+    paragraph_obs::Event::new("overhead_probe").emit();
+    let probe_lines = paragraph_obs::take_event_lines();
+    assert!(
+        probe.iter().any(|e| e.name == "overhead_probe"),
+        "enabled span did not record; the overhead measurement is invalid"
+    );
+    assert!(
+        probe_lines
+            .iter()
+            .any(|l| l.contains("\"kind\":\"overhead_probe\"")),
+        "enabled event did not record; the overhead measurement is invalid"
+    );
+
+    // A disabled span carries an arg whose closure must not run; a
+    // disabled event attaches one field of each type.
+    paragraph_obs::set_enabled(false);
+    let span_ns = ns_per_call(5_000_000, |i| {
+        let _g = paragraph_obs::span!("overhead_noop", i = i);
+        std::hint::black_box(i);
+    });
+    paragraph_obs::set_events_enabled(false);
+    let event_ns = ns_per_call(5_000_000, |i| {
+        paragraph_obs::Event::new("overhead_noop")
+            .str_field("op", "overhead")
+            .u64_field("i", i as u64)
+            .f64_field("latency_us", 1.5)
+            .bool_field("ok", true)
+            .emit();
+        std::hint::black_box(i);
+    });
+
+    // One request the tail sampler drops: begin, enter the context,
+    // one span, complete. Ids are prebuilt so formatting is not timed;
+    // fewer cycles suffice, as each takes the store mutex twice.
+    paragraph_obs::set_store_enabled(true);
+    let store = paragraph_obs::trace_store();
+    store.reset();
+    store.set_keep_one_in(0);
+    store.set_slow_threshold_us(f64::MAX);
+    let mut ids = (0..200_000)
+        .map(|i| format!("overhead-{i}"))
+        .collect::<Vec<_>>()
+        .into_iter();
+    let store_ns = ns_per_call(ids.len(), |_| {
+        let record =
+            paragraph_obs::RequestRecord::new(ids.next().expect("an id per cycle"), "predict");
+        store.begin(&record.request_id, None);
+        {
+            let ctx = paragraph_obs::SpanContext::request(&record.request_id, None);
+            let _ctx = ctx.enter();
+            let _g = paragraph_obs::span!("overhead_store_span");
+        }
+        std::hint::black_box(store.complete(record));
+    });
+    assert_eq!(
+        store.counters().retained_total(),
+        0,
+        "a cycle retained its trace; the not-retained path went unmeasured"
+    );
+    paragraph_obs::set_store_enabled(false);
+    store.reset();
+
+    let n = 256;
+    let mut rng = paragraph_tensor::init_rng(1);
+    let mut p = paragraph_tensor::ParamSet::new();
+    let a = p.add_xavier("a", n, n, &mut rng);
+    let b = p.add_xavier("b", n, n, &mut rng);
+    let matmul_ns = ns_per_call(20, |_| {
+        std::hint::black_box(p.value(a).matmul(p.value(b)));
+    });
+    let pct = |ns: f64| ns / matmul_ns * 100.0;
+    println!(
+        "disabled span {span_ns:.2} ns ({:.4}%), disabled event {event_ns:.2} ns ({:.4}%), \
+         store not-retained cycle {store_ns:.0} ns ({:.4}%) vs {n}x{n} matmul {:.1} us",
+        pct(span_ns),
+        pct(event_ns),
+        pct(store_ns),
+        matmul_ns / 1e3
+    );
+    assert!(
+        pct(span_ns) <= 2.0,
+        "disabled span {span_ns:.1} ns exceeds 2% of a {n}x{n} matmul"
+    );
+    assert!(
+        pct(event_ns) <= 2.0,
+        "disabled event {event_ns:.1} ns exceeds 2% of a {n}x{n} matmul"
+    );
+    assert!(
+        pct(store_ns) <= 2.0,
+        "store not-retained cycle {store_ns:.1} ns exceeds 2% of a {n}x{n} matmul"
+    );
 }
