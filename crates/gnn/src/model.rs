@@ -12,6 +12,7 @@ use std::sync::Arc;
 use paragraph_tensor::{init_rng, CsrPlan, ParamId, ParamSet, Tape, Tensor, Var};
 
 use crate::graph::HeteroGraph;
+use crate::plan::EdgeView;
 
 /// Which aggregation scheme a model uses (paper Table III + Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -478,28 +479,28 @@ impl GnnModel {
         let heads = self.config.attention_heads.max(1);
         let mut tape = Tape::new();
 
-        // Input projection (Algorithm 1 lines 1-2) — the *same* code path
-        // as `embed`, and `attention_probabilities` is the same kernel the
-        // fused layer op runs, so this inspection view cannot drift from
-        // what training computes.
+        // Input projection (Algorithm 1 lines 1-2) and the per-type view
+        // projection are the *same* code paths as `embed`, and
+        // `attention_probabilities` is the same kernel the fused layer op
+        // runs, so this inspection view cannot drift from what training
+        // computes. A view keeps its edge list's order, so the weights
+        // come back in the type's COO order.
         let h = self.input_projection(&mut tape, graph);
         let plan = graph.plan();
 
         let lp = &self.layers[0];
         let mut out = Vec::with_capacity(self.num_edge_types);
         for t in 0..self.num_edge_types {
-            let tp = plan.edge_type(t);
-            if tp.num_edges() == 0 || self.config.ablate_edge_types {
+            let view = plan.view(t);
+            if view.plan.num_edges() == 0 || self.config.ablate_edge_types {
                 out.push(Vec::new());
                 continue;
             }
-            let w_t = tape.param(&self.params, lp.w_type[t * heads]);
-            let z = tape.matmul(h, w_t);
-            let av = tape.param(&self.params, lp.a_type[t * heads]);
+            let z = self.view_projection(&mut tape, view, h, lp.w_type[t * heads]);
             out.push(paragraph_tensor::attention_probabilities(
                 tape.value(z),
-                tape.value(av),
-                tp,
+                self.params.value(lp.a_type[t * heads]),
+                &view.plan,
                 self.config.leaky_slope,
             ));
         }
@@ -577,6 +578,13 @@ impl GnnModel {
     /// ParaGraph (Algorithm 1 lines 4-10): per-edge-type attention
     /// aggregation, summed over edge types, concatenated with the previous
     /// embedding.
+    ///
+    /// Each edge type runs over its compact [`EdgeView`]: only the rows
+    /// the type touches are projected and attended, and the messages are
+    /// scattered back to `n` rows. Projection and attention are
+    /// row-local, and a row the view skips would only have added exact
+    /// zeros, so values and gradients are bitwise those of the full-row
+    /// layer.
     fn paragraph_layer(
         &self,
         tape: &mut Tape,
@@ -587,51 +595,40 @@ impl GnnModel {
         let n = graph.num_nodes();
         let f = self.config.embed_dim;
         let plan = graph.plan();
+        let heads = self.config.attention_heads.max(1);
         let mut agg = tape.constant(Tensor::zeros(n, f));
-        if self.config.ablate_edge_types {
-            // Ablation: a single weight/attention over the union graph.
-            let tp = plan.union();
-            if tp.num_edges() > 0 {
-                let heads = self.config.attention_heads.max(1);
-                let mut h_t: Option<Var> = None;
-                for k in 0..heads {
-                    let w_t = tape.param(&self.params, lp.w_type[k]);
-                    let z = tape.matmul(h, w_t);
-                    let head = if self.config.ablate_attention {
-                        tape.spmm_mean(z, tp.clone())
-                    } else {
-                        self.attention_aggregate(tape, tp, z, lp.a_type[k])
-                    };
-                    h_t = Some(match h_t {
-                        Some(prev) => tape.concat_cols(prev, head),
-                        None => head,
-                    });
-                }
-                agg = tape.add(agg, h_t.expect("head output"));
-            }
+        // The edge-type ablation runs one weight/attention group over the
+        // union graph.
+        let groups = if self.config.ablate_edge_types {
+            1
         } else {
-            let heads = self.config.attention_heads.max(1);
-            for t in 0..self.num_edge_types {
-                let tp = plan.edge_type(t);
-                if tp.num_edges() == 0 {
-                    continue;
-                }
-                let mut h_t: Option<Var> = None;
-                for k in 0..heads {
-                    let w_t = tape.param(&self.params, lp.w_type[t * heads + k]);
-                    let z = tape.matmul(h, w_t);
-                    let head = if self.config.ablate_attention {
-                        tape.spmm_mean(z, tp.clone())
-                    } else {
-                        self.attention_aggregate(tape, tp, z, lp.a_type[t * heads + k])
-                    };
-                    h_t = Some(match h_t {
-                        Some(prev) => tape.concat_cols(prev, head),
-                        None => head,
-                    });
-                }
-                agg = tape.add(agg, h_t.expect("head output")); // line 9: sum over types
+            self.num_edge_types
+        };
+        for t in 0..groups {
+            let view = if self.config.ablate_edge_types {
+                plan.union_view()
+            } else {
+                plan.view(t)
+            };
+            if view.plan.num_edges() == 0 {
+                continue;
             }
+            let mut h_t: Option<Var> = None;
+            for k in 0..heads {
+                let p = t * heads + k;
+                let z = self.view_projection(tape, view, h, lp.w_type[p]);
+                let head = if self.config.ablate_attention {
+                    tape.spmm_mean(z, view.plan.clone())
+                } else {
+                    self.attention_aggregate(tape, &view.plan, z, lp.a_type[p])
+                };
+                h_t = Some(match h_t {
+                    Some(prev) => tape.concat_cols(prev, head),
+                    None => head,
+                });
+            }
+            let msg = tape.scatter_add_rows(h_t.expect("head output"), view.rows.clone(), n);
+            agg = tape.add(agg, msg); // line 9: sum over types
         }
         // Line 10: sigma(W concat(h, agg) + b) — or a plain sum under the
         // concat ablation.
@@ -646,6 +643,17 @@ impl GnnModel {
         };
         let z = tape.add_bias(pre, b);
         tape.relu(z)
+    }
+
+    /// `h[rows]·w`: the projection of the rows `view` touches.
+    ///
+    /// Every head gathers its own copy of the rows, so `h`'s gradient
+    /// takes each head's contribution in turn, as it would from a
+    /// full-row product per head.
+    fn view_projection(&self, tape: &mut Tape, view: &EdgeView, h: Var, w: ParamId) -> Var {
+        let x = tape.gather_rows(h, view.rows.clone());
+        let w = tape.param(&self.params, w);
+        tape.matmul(x, w)
     }
 
     /// Shared GAT-style attention: one fused op computes the scores
@@ -885,6 +893,50 @@ mod attention_tests {
         assert!((att[0][3] - 1.0).abs() < 1e-5);
         // Type 1: single edge -> weight 1.
         assert!((att[1][0] - 1.0).abs() < 1e-5);
+    }
+
+    /// The view-based weights are bitwise the full-row computation
+    /// `attention_probabilities(h·W_t, a_t, plan.edge_type(t))`.
+    #[test]
+    fn attention_weights_match_full_row_probabilities_bitwise() {
+        let schema = GraphSchema {
+            node_feat_dims: vec![2],
+            num_edge_types: 3,
+        };
+        // Node 5 is isolated, node 4 only sends, type 2 has no edges.
+        let mut g = HeteroGraph::new(&schema, vec![0; 6]);
+        g.set_features(
+            0,
+            Tensor::from_fn(6, 2, |i, j| (i * 2 + j) as f32 * 0.3 - 0.7),
+        );
+        g.set_edges(0, vec![1, 2, 3, 4], vec![0, 0, 0, 1]);
+        g.set_edges(1, vec![0], vec![2]);
+        let mut cfg = ModelConfig::new(GnnKind::ParaGraph);
+        cfg.embed_dim = 8;
+        cfg.layers = 1;
+        let model = GnnModel::new(cfg, &schema);
+        let att = model.attention_weights(&g);
+
+        let mut tape = Tape::new();
+        let h = model.input_projection(&mut tape, &g);
+        let plan = g.plan();
+        let lp = &model.layers[0];
+        for (t, got) in att.iter().enumerate() {
+            let tp = plan.edge_type(t);
+            if tp.num_edges() == 0 {
+                assert!(got.is_empty(), "type {t}");
+                continue;
+            }
+            let z = tape.value(h).matmul(model.params.value(lp.w_type[t]));
+            let want = paragraph_tensor::attention_probabilities(
+                &z,
+                model.params.value(lp.a_type[t]),
+                tp,
+                model.config.leaky_slope,
+            );
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want), "type {t}");
+        }
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! the type-union edge list (used by the homogeneous GCN / GraphSage /
 //! GAT layers), the GCN symmetric-norm coefficients over that union, and
 //! a compact [`EdgeView`] of each of those edge lists (used by the
-//! compiled executor's ParaGraph layers). It is built once per
-//! [`HeteroGraph`](crate::HeteroGraph) (lazily, via
+//! ParaGraph layers, on the tape and in the compiled executor). It is
+//! built once per [`HeteroGraph`](crate::HeteroGraph) (lazily, via
 //! [`HeteroGraph::plan`](crate::HeteroGraph::plan)) and shared behind an
 //! `Arc` across every layer, epoch and ensemble member — the degree
 //! counting, destination sorting and normalisation that every layer call
 //! used to re-derive from COO now happens exactly once.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use paragraph_tensor::CsrPlan;
 
@@ -70,48 +70,69 @@ impl PlanScratch {
 /// plan.
 #[derive(Debug, Clone)]
 pub struct EdgeView {
-    rows: Vec<u32>,
-    plan: CsrPlan,
-}
-
-impl Default for EdgeView {
-    fn default() -> Self {
-        Self {
-            rows: Vec::new(),
-            plan: CsrPlan::new(&[], &[], 0),
-        }
-    }
+    /// Shared, like the plan, so a tape records the view's gather and
+    /// scatter indices without copying them.
+    pub(crate) rows: Arc<Vec<u32>>,
+    pub(crate) plan: Arc<CsrPlan>,
 }
 
 impl EdgeView {
+    /// The view of an empty edge list. Every empty view shares one
+    /// process-wide pair of buffers, so it costs no allocation.
+    fn empty() -> Self {
+        static EMPTY: OnceLock<EdgeView> = OnceLock::new();
+        EMPTY
+            .get_or_init(|| EdgeView {
+                rows: Arc::new(Vec::new()),
+                plan: CsrPlan::shared(&[], &[], 0),
+            })
+            .clone()
+    }
+
     /// Recompiles the view of the edge list `src -> dst`, whose
-    /// full-graph compilation is `full`, reusing every buffer.
+    /// full-graph compilation is `full`. Buffers this view holds alone
+    /// are reused in place; a shared buffer (a tape still holding it, or
+    /// the empty view's) is left to its other holders and replaced.
     fn rebuild(&mut self, full: &CsrPlan, src: &[u32], dst: &[u32], scratch: &mut ViewScratch) {
+        if Arc::get_mut(&mut self.rows).is_none() {
+            if src.is_empty() {
+                *self = Self::empty();
+                return;
+            }
+            self.rows = Arc::new(Vec::new());
+        }
+        let rows = Arc::get_mut(&mut self.rows).expect("just made unique");
         let n = full.num_nodes();
         let (din, dout) = (full.in_degree(), full.out_degree());
-        self.rows.clear();
-        self.rows
-            .extend((0..n as u32).filter(|&v| din[v as usize] > 0.0 || dout[v as usize] > 0.0));
+        rows.clear();
+        rows.extend((0..n as u32).filter(|&v| din[v as usize] > 0.0 || dout[v as usize] > 0.0));
         let local = &mut scratch.local;
         if local.len() < n {
             local.resize(n, 0);
         }
-        for (i, &v) in self.rows.iter().enumerate() {
+        for (i, &v) in rows.iter().enumerate() {
             local[v as usize] = i as u32;
         }
         scratch.src.clear();
         scratch.src.extend(src.iter().map(|&v| local[v as usize]));
         scratch.dst.clear();
         scratch.dst.extend(dst.iter().map(|&v| local[v as usize]));
-        self.plan
-            .rebuild(&scratch.src, &scratch.dst, self.rows.len());
+        let m = rows.len();
+        match Arc::get_mut(&mut self.plan) {
+            Some(plan) => plan.rebuild(&scratch.src, &scratch.dst, m),
+            None => self.plan = CsrPlan::shared(&scratch.src, &scratch.dst, m),
+        }
     }
 
     fn shrink_excess(&mut self, cap: usize) {
-        if self.rows.capacity() > cap {
-            self.rows.shrink_to(cap);
+        if let Some(rows) = Arc::get_mut(&mut self.rows) {
+            if rows.capacity() > cap {
+                rows.shrink_to(cap);
+            }
         }
-        self.plan.shrink_excess(cap);
+        if let Some(plan) = Arc::get_mut(&mut self.plan) {
+            plan.shrink_excess(cap);
+        }
     }
 
     /// Global ids of the touched rows, ascending; local node `i` is
@@ -147,7 +168,7 @@ impl GraphPlan {
             per_type: Vec::new(),
             views: Vec::new(),
             union: Arc::new(CsrPlan::new(&[], &[], 0)),
-            union_view: EdgeView::default(),
+            union_view: EdgeView::empty(),
             union_gcn_coeff: Arc::new(Vec::new()),
         };
         plan.rebuild(graph, &mut PlanScratch::default());
@@ -155,13 +176,12 @@ impl GraphPlan {
     }
 
     /// Recompiles every plan in place for `graph`'s current topology.
-    /// CSR buffers are reused whenever this plan's `Arc`s are uniquely
-    /// held (a shared plan falls back to a fresh compilation — the old
-    /// holder keeps seeing the old topology). The edge views are owned
-    /// by the plan and always rebuilt in place. `scratch` carries the
-    /// union COO concatenation and view renumbering buffers between
-    /// calls; at steady-state capacity a rebuild performs no heap
-    /// allocation.
+    /// CSR and edge-view buffers are reused whenever this plan's `Arc`s
+    /// are uniquely held (a shared one falls back to a fresh
+    /// compilation — the old holder keeps seeing the old topology).
+    /// `scratch` carries the union COO concatenation and view
+    /// renumbering buffers between calls; at steady-state capacity a
+    /// rebuild performs no heap allocation.
     pub fn rebuild(&mut self, graph: &HeteroGraph, scratch: &mut PlanScratch) {
         let n = graph.num_nodes();
         self.per_type.truncate(graph.num_edge_types());
@@ -176,7 +196,7 @@ impl GraphPlan {
                 self.per_type[t] = CsrPlan::shared(&e.src, &e.dst, n);
             }
             if t >= self.views.len() {
-                self.views.push(EdgeView::default());
+                self.views.push(EdgeView::empty());
             }
             self.views[t].rebuild(&self.per_type[t], &e.src, &e.dst, &mut scratch.view);
         }

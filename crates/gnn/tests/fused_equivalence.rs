@@ -162,7 +162,7 @@ fn fused_tapes_are_pinned_and_smaller() {
         (GnnKind::GraphSage, 27),
         (GnnKind::Rgcn, 37),
         (GnnKind::Gat, 35),
-        (GnnKind::ParaGraph, 65),
+        (GnnKind::ParaGraph, 77),
     ];
     for (kind, want) in expected {
         let g = graph();

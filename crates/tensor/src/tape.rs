@@ -108,10 +108,28 @@ impl Op {
 
 #[derive(Debug)]
 struct Node {
-    /// Arc-backed so graph-resident constants (feature matrices shared
-    /// across epochs and ensemble members) are recorded without copying.
-    value: Arc<Tensor>,
+    value: Value,
     op: Op,
+}
+
+/// A node's value: owned by the tape, or shared with the caller so
+/// graph-resident constants (feature matrices reused across epochs and
+/// ensemble members) are recorded without copying.
+#[derive(Debug)]
+enum Value {
+    Owned(Tensor),
+    Shared(Arc<Tensor>),
+}
+
+impl std::ops::Deref for Value {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match self {
+            Value::Owned(t) => t,
+            Value::Shared(t) => t,
+        }
+    }
 }
 
 /// Records a forward pass and computes gradients via [`Tape::backward`].
@@ -189,14 +207,14 @@ impl Tape {
 
     /// The current value of `var`.
     pub fn value(&self, var: Var) -> &Tensor {
-        self.nodes[var.0].value.as_ref()
+        &self.nodes[var.0].value
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
-        self.push_shared(Arc::new(value), op)
+        self.record(Value::Owned(value), op)
     }
 
-    fn push_shared(&mut self, value: Arc<Tensor>, op: Op) -> Var {
+    fn record(&mut self, value: Value, op: Op) -> Var {
         debug_assert!(value.all_finite(), "non-finite value produced by {op:?}");
         self.nodes.push(Node { value, op });
         Var(self.nodes.len() - 1)
@@ -213,7 +231,7 @@ impl Tape {
     /// The `Arc` is cloned, not the data — this is how per-graph feature
     /// matrices are fed to every epoch's tape with zero copies.
     pub fn constant_shared(&mut self, value: Arc<Tensor>) -> Var {
-        self.push_shared(value, Op::Leaf { param: None })
+        self.record(Value::Shared(value), Op::Leaf { param: None })
     }
 
     /// Records a leaf for parameter `id`, copying its current value from
@@ -589,11 +607,14 @@ impl Tape {
         match &self.nodes[idx].op {
             Op::Leaf { .. } => {}
             Op::MatMul(a, b) => {
-                // Fused transposed-operand kernels: ∂a = g @ bᵀ and
-                // ∂b = aᵀ @ g without materialising either transpose.
+                // ∂a = g @ bᵀ runs the accumulate kernel on a transposed
+                // copy of `b` (in model code a weight of at most 2F x F);
+                // each element still sums its terms in ascending order
+                // from +0.0, as a row-dot loop would. ∂b = aᵀ @ g reads
+                // `a` transposed in place.
                 let av = self.value(*a);
                 let bv = self.value(*b);
-                add_to(grads, *a, g.matmul_nt(bv));
+                add_to(grads, *a, g.matmul(&bv.transpose()));
                 add_to(grads, *b, av.matmul_tn(g));
             }
             Op::Add(a, b) => {
@@ -1130,6 +1151,55 @@ mod tests {
         assert!((v.at(0, 1) - 0.8).abs() < 1e-6);
         // Zero rows pass through untouched.
         assert_eq!(v.at(1, 0), 0.0);
+    }
+
+    /// `∂a = g·bᵀ` of a recorded product equals, bit for bit, a scalar
+    /// row-dot loop that sums every term (zeros included) from +0.0 in
+    /// ascending order — on every dispatch path of the accumulate kernel.
+    #[test]
+    fn matmul_left_gradient_is_bitwise_row_dot() {
+        // (m, k, n): a is m x k, b is k x n, so ∂a has k columns.
+        let shapes = [
+            (5, 32, 7),     // 4 whole AVX2 lane blocks
+            (9, 64, 16),    // 8 blocks, all accumulators resident
+            (6, 136, 12),   // tiled columns: 64 + 64 + 8
+            (7, 12, 5),     // portable path (12 % 8 != 0)
+            (1024, 64, 32), // pooled: m·n·k = 2^21
+        ];
+        let fill = |rows: usize, cols: usize, salt: usize| {
+            Tensor::from_fn(rows, cols, |i, j| match (i * 7 + j * 3 + salt) % 11 {
+                0 => 0.0,
+                1 => -0.0,
+                r => (r as f32 - 5.5) * 0.37 + (i % 5) as f32 * 0.013,
+            })
+        };
+        for (m, k, n) in shapes {
+            let (av, bv, gv) = (fill(m, k, 1), fill(k, n, 2), fill(m, n, 3));
+            let mut tape = Tape::new();
+            let a = tape.constant(av);
+            let b = tape.constant(bv.clone());
+            let c = tape.matmul(a, b);
+            // sum(c ⊙ g) feeds exactly g (signed zeros included) into c.
+            let g = tape.constant(gv.clone());
+            let weighted = tape.mul(c, g);
+            let loss = tape.sum_all(weighted);
+            let grads = tape.backward(loss);
+            let got = grads.for_var(a).unwrap();
+            assert_eq!(got.shape(), (m, k));
+            for i in 0..m {
+                for j in 0..k {
+                    let mut acc = 0.0f32;
+                    for (&g_v, &b_v) in gv.row(i).iter().zip(bv.row(j)) {
+                        acc += g_v * b_v;
+                    }
+                    assert_eq!(
+                        got.at(i, j).to_bits(),
+                        acc.to_bits(),
+                        "{m}x{k}x{n}: element ({i}, {j})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -345,33 +345,6 @@ impl Tensor {
         out
     }
 
-    /// Transposed-operand product `self @ otherᵀ` without materialising
-    /// the transpose.
-    ///
-    /// Shapes: `(m x k) @ (n x k)ᵀ = (m x n)`. Each output element is a
-    /// dot product of a row of `self` with a row of `other`, accumulated
-    /// in a fixed order, so results are bit-identical across worker
-    /// counts. Used by the backward pass of [`matmul`](Self::matmul) for
-    /// the left operand's gradient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts disagree.
-    pub fn matmul_nt(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_nt shape mismatch: {}x{} @ ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let _span = paragraph_obs::span!("matmul_nt", m = m, k = k, n = n);
-        let mut out = Self::zeros(m, n);
-        par_row_chunks(m, k, n, &mut out.data, |c, row_start, row_end| {
-            matmul_nt_rows(&self.data, &other.data, c, k, n, row_start, row_end);
-        });
-        out
-    }
-
     /// Transposed-operand product `selfᵀ @ other` without materialising
     /// the transpose.
     ///
@@ -675,33 +648,6 @@ fn matmul_rows(
     }
 }
 
-/// Rows `row_start..row_end` of `a (m x k) @ b (n x k)ᵀ`: each output
-/// element is a row-by-row dot product. Stays scalar on every target:
-/// vectorising a single dot product would split it into per-lane
-/// partial sums and change the summation order (and therefore bits).
-fn matmul_nt_rows(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    row_start: usize,
-    row_end: usize,
-) {
-    for i in row_start..row_end {
-        let c_row = &mut c[(i - row_start) * n..(i - row_start + 1) * n];
-        let a_row = &a[i * k..(i + 1) * k];
-        for (j, c_v) in c_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&a_v, &b_v) in a_row.iter().zip(b_row.iter()) {
-                acc += a_v * b_v;
-            }
-            *c_v = acc;
-        }
-    }
-}
-
 /// AVX2 variant of [`matmul_tn_rows`]: visits each output row once,
 /// accumulating its rank-1 contributions over the `k` input rows in the
 /// same ascending-`i` order as the portable kernel while the row sits
@@ -847,13 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_nt_matches_explicit_transpose() {
-        let a = Tensor::from_fn(7, 5, |i, j| ((i * 13 + j * 5) % 9) as f32 - 4.0 + 0.25);
-        let b = Tensor::from_fn(6, 5, |i, j| ((i * 7 + j * 11) % 8) as f32 - 3.0 + 0.5);
-        assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
-    }
-
-    #[test]
     fn matmul_tn_matches_explicit_transpose() {
         let a = Tensor::from_fn(9, 4, |i, j| ((i * 5 + j * 3) % 7) as f32 - 3.0 + 0.125);
         let b = Tensor::from_fn(9, 6, |i, j| ((i * 11 + j * 13) % 10) as f32 - 4.0 + 0.375);
@@ -865,17 +804,7 @@ mod tests {
         // Big enough to clear PAR_FLOP_THRESHOLD so pool chunking runs.
         let a = Tensor::from_fn(300, 130, |i, j| ((i * 31 + j * 7) % 13) as f32 - 6.0 + 0.25);
         let g = Tensor::from_fn(300, 220, |i, j| ((i * 17 + j * 3) % 11) as f32 - 5.0 + 0.5);
-        let b = Tensor::from_fn(220, 130, |i, j| {
-            ((i * 23 + j * 29) % 9) as f32 - 4.0 + 0.125
-        });
-        assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
         assert_eq!(a.matmul_tn(&g), a.transpose().matmul(&g));
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul_nt shape mismatch")]
-    fn matmul_nt_shape_mismatch_panics() {
-        let _ = Tensor::zeros(2, 3).matmul_nt(&Tensor::zeros(4, 5));
     }
 
     #[test]
