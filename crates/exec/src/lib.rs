@@ -964,29 +964,38 @@ impl CompiledModel {
                         &mut arena.qa,
                         calib.as_deref_mut(),
                     );
+                    // Each relation's mean and product cover only the
+                    // rows its edge view touches, as on the tape.
                     for t in 0..self.num_edge_types {
-                        let tp = plan.edge_type(t);
+                        let view = plan.view(t);
+                        let (rows, tp) = (view.rows(), view.plan());
                         if tp.num_edges() == 0 {
                             continue;
                         }
-                        let agg = ensure(&mut arena.agg, n * f);
+                        let m = rows.len();
+                        let x = ensure(&mut arena.t1, m * f);
+                        kernels::gather_rows(&arena.h[..n * f], f, rows, x);
+                        let agg = ensure(&mut arena.agg, m * f);
                         agg.fill(0.0);
-                        self.spmm_mean(&arena.h[..n * f], f, tp, agg);
-                        let t2 = ensure(&mut arena.t2, n * f);
+                        self.spmm_mean(&arena.t1[..m * f], f, tp, agg);
+                        let t2 = ensure(&mut arena.t2, m * f);
                         self.mm(
                             &layer.w_type[t],
                             self.site_agg(l),
-                            &arena.agg[..n * f],
+                            &arena.agg[..m * f],
                             t2,
-                            n,
+                            m,
                             f,
                             f,
                             &mut arena.qa,
                             calib.as_deref_mut(),
                         );
-                        for (o, &v) in arena.h2[..n * f].iter_mut().zip(arena.t2[..n * f].iter()) {
-                            *o += v;
-                        }
+                        kernels::scatter_add_rows(
+                            &arena.t2[..m * f],
+                            f,
+                            rows,
+                            &mut arena.h2[..n * f],
+                        );
                     }
                     let h2 = &mut arena.h2[..n * f];
                     kernels::add_bias(h2, layer.b.as_slice());

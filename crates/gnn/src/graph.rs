@@ -449,7 +449,7 @@ mod tests {
             "stale GraphPlan reused after set_edges"
         );
         assert_eq!(after.union().num_edges(), 3);
-        assert_eq!(after.edge_type(0).num_edges(), 1);
+        assert_eq!(after.view(0).plan().num_edges(), 1);
     }
 
     #[test]
@@ -469,10 +469,10 @@ mod tests {
             !Arc::ptr_eq(&original_plan, &p2),
             "clone reused the shared pre-mutation plan"
         );
-        assert_eq!(p2.edge_type(1).num_edges(), 3);
+        assert_eq!(p2.view(1).plan().num_edges(), 3);
         // The original still sees its own (unchanged) topology.
         assert!(Arc::ptr_eq(&original_plan, &g.plan()));
-        assert_eq!(g.plan().edge_type(1).num_edges(), 2);
+        assert_eq!(g.plan().view(1).plan().num_edges(), 2);
     }
 
     #[test]

@@ -535,19 +535,26 @@ impl GnnModel {
 
     /// RGCN: per-relation mean aggregation with relation weights + self
     /// loop.
+    ///
+    /// Each relation runs over its compact [`EdgeView`], as in
+    /// [`Self::paragraph_layer`]: the mean and its product cover only the
+    /// rows the relation touches, and are scattered back to `n` rows.
     fn rgcn_layer(&self, tape: &mut Tape, graph: &HeteroGraph, h: Var, lp: &LayerParams) -> Var {
+        let n = graph.num_nodes();
         let plan = graph.plan();
         let w_self = tape.param(&self.params, lp.w_self.expect("rgcn has w_self"));
         let mut acc = tape.matmul(h, w_self);
         for t in 0..self.num_edge_types {
-            let tp = plan.edge_type(t);
-            if tp.num_edges() == 0 {
+            let view = plan.view(t);
+            if view.plan.num_edges() == 0 {
                 continue;
             }
-            let mean = tape.spmm_mean(h, tp.clone());
+            let x = tape.gather_rows(h, view.rows.clone());
+            let mean = tape.spmm_mean(x, view.plan.clone());
             let w_r = tape.param(&self.params, lp.w_type[t]);
             let z = tape.matmul(mean, w_r);
-            acc = tape.add(acc, z);
+            let msg = tape.scatter_add_rows(z, view.rows.clone(), n);
+            acc = tape.add(acc, msg);
         }
         let b = tape.param(&self.params, lp.b);
         let z = tape.add_bias(acc, b);
@@ -896,7 +903,8 @@ mod attention_tests {
     }
 
     /// The view-based weights are bitwise the full-row computation
-    /// `attention_probabilities(h·W_t, a_t, plan.edge_type(t))`.
+    /// `attention_probabilities(h·W_t, a_t, P_t)`, with `P_t` type t's
+    /// edges compiled over the whole graph.
     #[test]
     fn attention_weights_match_full_row_probabilities_bitwise() {
         let schema = GraphSchema {
@@ -919,19 +927,19 @@ mod attention_tests {
 
         let mut tape = Tape::new();
         let h = model.input_projection(&mut tape, &g);
-        let plan = g.plan();
         let lp = &model.layers[0];
         for (t, got) in att.iter().enumerate() {
-            let tp = plan.edge_type(t);
-            if tp.num_edges() == 0 {
+            let e = g.edges(t);
+            if e.src.is_empty() {
                 assert!(got.is_empty(), "type {t}");
                 continue;
             }
+            let tp = CsrPlan::new(&e.src, &e.dst, g.num_nodes());
             let z = tape.value(h).matmul(model.params.value(lp.w_type[t]));
             let want = paragraph_tensor::attention_probabilities(
                 &z,
                 model.params.value(lp.a_type[t]),
-                tp,
+                &tp,
                 model.config.leaky_slope,
             );
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

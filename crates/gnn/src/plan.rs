@@ -1,9 +1,9 @@
 //! Per-graph compiled message plans.
 //!
-//! A [`GraphPlan`] bundles one [`CsrPlan`] per edge type plus a plan for
-//! the type-union edge list (used by the homogeneous GCN / GraphSage /
-//! GAT layers), the GCN symmetric-norm coefficients over that union, and
-//! a compact [`EdgeView`] of each of those edge lists (used by the
+//! A [`GraphPlan`] bundles a [`CsrPlan`] for the type-union edge list
+//! (used by the homogeneous GCN / GraphSage / GAT layers), the GCN
+//! symmetric-norm coefficients over that union, and a compact
+//! [`EdgeView`] of each edge type and of the union (used by the RGCN and
 //! ParaGraph layers, on the tape and in the compiled executor). It is
 //! built once per [`HeteroGraph`](crate::HeteroGraph) (lazily, via
 //! [`HeteroGraph::plan`](crate::HeteroGraph::plan)) and shared behind an
@@ -31,8 +31,9 @@ pub struct PlanScratch {
 /// Renumbering buffers for [`EdgeView::rebuild`].
 #[derive(Debug, Default, Clone)]
 struct ViewScratch {
-    /// Local id of each global node within the view being built (only
-    /// the entries of that view's rows are meaningful).
+    /// Endpoint marks, then the local id of each global node within the
+    /// view being built (only the entries of that view's rows are
+    /// meaningful).
     local: Vec<u32>,
     src: Vec<u32>,
     dst: Vec<u32>,
@@ -89,11 +90,11 @@ impl EdgeView {
             .clone()
     }
 
-    /// Recompiles the view of the edge list `src -> dst`, whose
-    /// full-graph compilation is `full`. Buffers this view holds alone
-    /// are reused in place; a shared buffer (a tape still holding it, or
-    /// the empty view's) is left to its other holders and replaced.
-    fn rebuild(&mut self, full: &CsrPlan, src: &[u32], dst: &[u32], scratch: &mut ViewScratch) {
+    /// Recompiles the view of the edge list `src -> dst` over `n` nodes.
+    /// Buffers this view holds alone are reused in place; a shared
+    /// buffer (a tape still holding it, or the empty view's) is left to
+    /// its other holders and replaced.
+    fn rebuild(&mut self, n: usize, src: &[u32], dst: &[u32], scratch: &mut ViewScratch) {
         if Arc::get_mut(&mut self.rows).is_none() {
             if src.is_empty() {
                 *self = Self::empty();
@@ -102,14 +103,15 @@ impl EdgeView {
             self.rows = Arc::new(Vec::new());
         }
         let rows = Arc::get_mut(&mut self.rows).expect("just made unique");
-        let n = full.num_nodes();
-        let (din, dout) = (full.in_degree(), full.out_degree());
-        rows.clear();
-        rows.extend((0..n as u32).filter(|&v| din[v as usize] > 0.0 || dout[v as usize] > 0.0));
+        // Mark every endpoint, then number the marked rows in order.
         let local = &mut scratch.local;
-        if local.len() < n {
-            local.resize(n, 0);
+        local.clear();
+        local.resize(n, 0);
+        for &v in src.iter().chain(dst) {
+            local[v as usize] = 1;
         }
+        rows.clear();
+        rows.extend((0..n as u32).filter(|&v| local[v as usize] != 0));
         for (i, &v) in rows.iter().enumerate() {
             local[v as usize] = i as u32;
         }
@@ -150,8 +152,7 @@ impl EdgeView {
 /// Compiled CSR plans for every edge view of one graph.
 #[derive(Debug)]
 pub struct GraphPlan {
-    per_type: Vec<Arc<CsrPlan>>,
-    /// Compact view of each edge type, index-aligned with `per_type`.
+    /// Compact view of each edge type.
     views: Vec<EdgeView>,
     union: Arc<CsrPlan>,
     union_view: EdgeView,
@@ -165,7 +166,6 @@ impl GraphPlan {
     /// Compiles all edge lists of `graph`.
     pub fn build(graph: &HeteroGraph) -> Self {
         let mut plan = Self {
-            per_type: Vec::new(),
             views: Vec::new(),
             union: Arc::new(CsrPlan::new(&[], &[], 0)),
             union_view: EdgeView::empty(),
@@ -184,21 +184,11 @@ impl GraphPlan {
     /// rebuild performs no heap allocation.
     pub fn rebuild(&mut self, graph: &HeteroGraph, scratch: &mut PlanScratch) {
         let n = graph.num_nodes();
-        self.per_type.truncate(graph.num_edge_types());
-        self.views.truncate(graph.num_edge_types());
-        for t in 0..graph.num_edge_types() {
+        self.views
+            .resize_with(graph.num_edge_types(), EdgeView::empty);
+        for (t, view) in self.views.iter_mut().enumerate() {
             let e = graph.edges(t);
-            if t >= self.per_type.len() {
-                self.per_type.push(CsrPlan::shared(&e.src, &e.dst, n));
-            } else if let Some(plan) = Arc::get_mut(&mut self.per_type[t]) {
-                plan.rebuild(&e.src, &e.dst, n);
-            } else {
-                self.per_type[t] = CsrPlan::shared(&e.src, &e.dst, n);
-            }
-            if t >= self.views.len() {
-                self.views.push(EdgeView::empty());
-            }
-            self.views[t].rebuild(&self.per_type[t], &e.src, &e.dst, &mut scratch.view);
+            view.rebuild(n, &e.src, &e.dst, &mut scratch.view);
         }
         // Union edges in edge-type order, matching
         // `HeteroGraph::union_edges`.
@@ -215,7 +205,7 @@ impl GraphPlan {
             self.union = CsrPlan::shared(&scratch.src, &scratch.dst, n);
         }
         self.union_view
-            .rebuild(&self.union, &scratch.src, &scratch.dst, &mut scratch.view);
+            .rebuild(n, &scratch.src, &scratch.dst, &mut scratch.view);
         let union = &self.union;
         if Arc::get_mut(&mut self.union_gcn_coeff).is_none() {
             self.union_gcn_coeff = Arc::new(Vec::new());
@@ -233,11 +223,6 @@ impl GraphPlan {
     /// `cap` elements, so one oversized batch does not pin its
     /// high-water memory across later small rebuilds.
     pub fn shrink_excess(&mut self, cap: usize) {
-        for plan in &mut self.per_type {
-            if let Some(p) = Arc::get_mut(plan) {
-                p.shrink_excess(cap);
-            }
-        }
         for view in self.views.iter_mut().chain([&mut self.union_view]) {
             view.shrink_excess(cap);
         }
@@ -249,11 +234,6 @@ impl GraphPlan {
                 c.shrink_to(cap);
             }
         }
-    }
-
-    /// The plan for one edge type.
-    pub fn edge_type(&self, t: usize) -> &Arc<CsrPlan> {
-        &self.per_type[t]
     }
 
     /// The compact view of one edge type.
@@ -300,8 +280,8 @@ mod tests {
     fn union_merges_types_in_order() {
         let g = graph();
         let plan = g.plan();
-        assert_eq!(plan.edge_type(0).num_edges(), 2);
-        assert_eq!(plan.edge_type(1).num_edges(), 2);
+        assert_eq!(plan.view(0).plan().num_edges(), 2);
+        assert_eq!(plan.view(1).plan().num_edges(), 2);
         assert_eq!(plan.union().num_edges(), 4);
         assert_eq!(plan.union().in_degree(), &[2.0, 1.0, 1.0, 0.0]);
     }

@@ -4,9 +4,9 @@
 //! aggregation spelled out as `gather_rows` → `matmul` → `concat_cols` →
 //! score `matmul` → `leaky_relu` → `segment_softmax` →
 //! `mul_col_broadcast` → `scatter_add_rows`). They read the *same*
-//! parameters as a [`GnnModel`], so the equivalence tests and
-//! `benches/kernels.rs` can pit the fused kernels against the exact
-//! chains they replaced — numerically and in tape-node count.
+//! parameters as a [`GnnModel`], so the equivalence tests can pit the
+//! fused kernels against the exact chains they replaced — numerically
+//! and in tape-node count.
 //!
 //! Not a production path: the fused ops in [`GnnModel::embed`] are the
 //! hot path; this module exists so de-fusing or numeric drift is caught.

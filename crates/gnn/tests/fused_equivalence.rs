@@ -160,7 +160,7 @@ fn fused_tapes_are_pinned_and_smaller() {
     let expected = [
         (GnnKind::Gcn, 23),
         (GnnKind::GraphSage, 27),
-        (GnnKind::Rgcn, 37),
+        (GnnKind::Rgcn, 45),
         (GnnKind::Gat, 35),
         (GnnKind::ParaGraph, 77),
     ];
