@@ -474,7 +474,7 @@ impl TargetModel {
     pub fn predict_graph(&self, circuit: &Circuit, cg: &CircuitGraph) -> Vec<Option<f64>> {
         let nodes = self.query_nodes(circuit, cg);
         let scores = self.predict_scores(&cg.graph, &nodes);
-        self.scatter_predictions(circuit, cg, &nodes, &scores)
+        self.scatter_predictions(circuit, cg, &scores)
     }
 
     /// Predicts every applicable node of several fresh schematics, laid
@@ -531,7 +531,7 @@ impl TargetModel {
             .map(|((c, cg), nodes)| {
                 let own = &scores[off..off + nodes.len()];
                 off += nodes.len();
-                self.scatter_predictions(c, cg, nodes, own)
+                self.scatter_predictions(c, cg, own)
             })
             .collect()
     }
@@ -551,31 +551,32 @@ impl TargetModel {
         }
     }
 
-    /// Unscales `scores[i]` (the prediction for `nodes[i]`) to physical
-    /// units and lays them out per net (for net targets) or per device
-    /// (for device targets), `None` where the target does not apply.
+    /// Unscales `scores` (the predictions for [`Self::query_nodes`], in
+    /// its order) to physical units and lays them out per net (for net
+    /// targets) or per device (for device targets), `None` where the
+    /// target does not apply. The query nodes follow net or device
+    /// order, so a running cursor places every score.
     fn scatter_predictions(
         &self,
         circuit: &Circuit,
         cg: &CircuitGraph,
-        nodes: &[u32],
         scores: &[f32],
     ) -> Vec<Option<f64>> {
-        let by_node: std::collections::HashMap<u32, f64> = nodes
+        let mut unscaled = scores
             .iter()
-            .zip(scores)
-            .map(|(&n, &p)| (n, self.target.unscale_with(self.max_value, p)))
-            .collect();
-        if self.target.on_nets() {
-            cg.net_node
-                .iter()
-                .map(|n| n.and_then(|node| by_node.get(&node).copied()))
-                .collect()
+            .map(|&p| self.target.unscale_with(self.max_value, p));
+        let mut next = || unscaled.next().expect("a score per query node");
+        let preds = if self.target.on_nets() {
+            cg.net_node.iter().map(|n| n.map(|_| next())).collect()
         } else {
-            (0..circuit.num_devices())
-                .map(|i| by_node.get(&cg.device_node[i]).copied())
+            circuit
+                .devices()
+                .iter()
+                .map(|d| d.kind.is_mosfet().then(&mut next))
                 .collect()
-        }
+        };
+        assert!(unscaled.next().is_none(), "a query node per score");
+        preds
     }
 
     /// Predicts `(physical mean, log-space sigma)` per labelled node of a

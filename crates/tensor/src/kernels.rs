@@ -262,7 +262,17 @@ pub fn attend_scores(
     // Per-node halves of the score: raw_e decomposes into
     // zd_dot[dst_e] + zs_dot[src_e], so the O(E·F) gathered dot product
     // collapses to O(N·F) + O(E).
-    for i in 0..n {
+    #[cfg(target_arch = "x86_64")]
+    let done = if f > 0 && f.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 presence and the lane count checked here; the
+        // asserts above give `z` its `n * f` entries.
+        unsafe { score_dots_by_lane_avx2(z, f, a_dst, a_src, zd_dot, zs_dot) }
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for i in done..n {
         let row = &z[i * f..(i + 1) * f];
         let mut d = 0.0_f32;
         let mut s = 0.0_f32;
@@ -274,6 +284,87 @@ pub fn attend_scores(
         zs_dot[i] = s;
     }
     scores_segments(plan, slope, zd_dot, zs_dot, raw, alpha);
+}
+
+/// AVX2 inner kernel for [`attend_scores`]: both per-node score halves
+/// for eight rows at a time, one row per vector lane. An 8x8 transpose
+/// turns each 8-column block of the group's rows into one vector per
+/// column; every lane then sums `z[i][j] · a[j]` over ascending `j`,
+/// starting from `+0.0`, with a separate multiply and add. That is the
+/// scalar loop's arithmetic exactly, so the two are bit-identical, but
+/// eight rows' add chains now advance together. Returns the number of
+/// rows written (the whole groups of eight); the caller does the rest.
+///
+/// # Safety
+///
+/// AVX2 must be available, `f` a nonzero multiple of 8, both halves of
+/// `a` `f` long and `z` hold `zd_dot.len() * f` entries.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn score_dots_by_lane_avx2(
+    z: &[f32],
+    f: usize,
+    a_dst: &[f32],
+    a_src: &[f32],
+    zd_dot: &mut [f32],
+    zs_dot: &mut [f32],
+) -> usize {
+    use std::arch::x86_64::*;
+    let groups = zd_dot.len().min(zs_dot.len()) / 8;
+    for g in 0..groups {
+        let rows = z[g * 8 * f..(g + 1) * 8 * f].as_ptr();
+        let mut accd = _mm256_setzero_ps();
+        let mut accs = _mm256_setzero_ps();
+        for j0 in (0..f).step_by(8) {
+            let mut col = [_mm256_setzero_ps(); 8];
+            for (l, v) in col.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(rows.add(l * f + j0));
+            }
+            transpose_8x8(&mut col);
+            for (j, v) in col.iter().enumerate() {
+                let d = _mm256_set1_ps(a_dst[j0 + j]);
+                let s = _mm256_set1_ps(a_src[j0 + j]);
+                accd = _mm256_add_ps(accd, _mm256_mul_ps(*v, d));
+                accs = _mm256_add_ps(accs, _mm256_mul_ps(*v, s));
+            }
+        }
+        _mm256_storeu_ps(zd_dot[g * 8..(g + 1) * 8].as_mut_ptr(), accd);
+        _mm256_storeu_ps(zs_dot[g * 8..(g + 1) * 8].as_mut_ptr(), accs);
+    }
+    groups * 8
+}
+
+/// Transposes eight 8-lane rows in place: afterwards `r[j]` holds lane
+/// `j` of every input row, in row order.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn transpose_8x8(r: &mut [std::arch::x86_64::__m256; 8]) {
+    use std::arch::x86_64::*;
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let s1 = _mm256_shuffle_ps::<0xee>(t0, t2);
+    let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let s3 = _mm256_shuffle_ps::<0xee>(t1, t3);
+    let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let s5 = _mm256_shuffle_ps::<0xee>(t4, t6);
+    let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let s7 = _mm256_shuffle_ps::<0xee>(t5, t7);
+    r[0] = _mm256_permute2f128_ps::<0x20>(s0, s4);
+    r[1] = _mm256_permute2f128_ps::<0x20>(s1, s5);
+    r[2] = _mm256_permute2f128_ps::<0x20>(s2, s6);
+    r[3] = _mm256_permute2f128_ps::<0x20>(s3, s7);
+    r[4] = _mm256_permute2f128_ps::<0x31>(s0, s4);
+    r[5] = _mm256_permute2f128_ps::<0x31>(s1, s5);
+    r[6] = _mm256_permute2f128_ps::<0x31>(s2, s6);
+    r[7] = _mm256_permute2f128_ps::<0x31>(s3, s7);
 }
 
 /// The O(E) half of [`attend_scores`]: per-edge raw scores from the
@@ -318,12 +409,13 @@ fn scores_segments(
 }
 
 /// [`attend_scores`] with FMA-vectorized per-node dot products, used by
-/// the executor's reduced-precision path. The 8-lane accumulators
-/// reassociate the dot sums, so results differ from [`attend_scores`]
-/// in the last ulps — inside the quantized tiers' tolerance contract,
-/// which is why the bitwise f32 path keeps the scalar kernel. The
-/// segment-softmax half is shared code (it is O(E) and branchy either
-/// way).
+/// the executor's reduced-precision path. The 8-lane accumulators split
+/// each row's dot into partial sums, so results differ from
+/// [`attend_scores`] in the last ulps — inside the quantized tiers'
+/// tolerance contract. The bitwise f32 path runs [`attend_scores`],
+/// whose vector path gives each row its own lane and keeps the scalar
+/// summation order. The segment-softmax half is shared code (it is
+/// O(E) and branchy either way).
 ///
 /// # Panics
 ///

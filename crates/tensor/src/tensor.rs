@@ -525,28 +525,74 @@ pub(crate) fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usiz
     });
 }
 
-/// True when the AVX2 row kernels can run: x86-64 with AVX2 (checked
-/// once, cached by `is_x86_feature_detected`) and a column count that
-/// is a whole number of 256-bit lanes. Wider outputs than the 64
-/// columns that fit in vector registers are handled by tiling the
-/// columns, which leaves each element's accumulation order untouched.
+/// True when the AVX2 row kernel can run: x86-64 with AVX2 and POPCNT
+/// (checked once, cached by `is_x86_feature_detected`) and a column
+/// count that is a whole number of 256-bit lanes. Outputs wider than
+/// the 64 columns that fit in vector registers are tiled by columns,
+/// which leaves each element's accumulation order untouched.
 #[cfg(target_arch = "x86_64")]
 fn avx2_cols(n: usize) -> bool {
-    n > 0 && n.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx2")
+    n > 0
+        && n.is_multiple_of(8)
+        && std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("popcnt")
 }
 
-/// AVX2 accumulate-rows kernel for `n == BLOCKS * 8` columns: the
-/// output row lives in `BLOCKS` 256-bit accumulators while the `p`
-/// loop streams `b` rows through them in ascending order. Vector lanes
-/// are distinct output elements — never partial sums — and mul/add
-/// stay separate instructions (no FMA), so every element sums its
-/// terms in exactly the portable kernel's order and the two paths are
-/// bit-identical.
+/// Terms [`matmul_rows_avx2`] compacts per pass, a whole number of
+/// 8-lane groups; the lists of their positions and activations live on
+/// the stack.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+const TERM_TILE: usize = 128;
+
+/// `LEFT_PACK[mask]` lists the lanes set in the 8-bit `mask` in
+/// ascending order, padded with lane 0.
+#[cfg(target_arch = "x86_64")]
+static LEFT_PACK: [[u8; 8]; 256] = {
+    let mut table = [[0; 8]; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let (mut lane, mut kept) = (0, 0);
+        while lane < 8 {
+            if mask & (1 << lane) != 0 {
+                table[mask][kept] = lane as u8;
+                kept += 1;
+            }
+            lane += 1;
+        }
+        mask += 1;
+    }
+    table
+};
+
+/// AVX2 accumulate-rows kernel for output columns `col0..col0 + 8 *
+/// BLOCKS` of both dense products. Term `p` of output row `r` is the
+/// activation `a[r * row_stride + p * term_stride]` times row `p` of
+/// `b (k x n)`: strides `(k, 1)` read `a (m x k) @ b`, strides `(1, m)`
+/// read `a (k x m)ᵀ @ b`.
+///
+/// The output tile lives in `BLOCKS` 256-bit accumulators while the
+/// row's terms stream through them in ascending `p`. Terms whose
+/// activation is zero (either sign) are skipped, as in the portable
+/// kernels, but without a branch per term: post-ReLU rows are about
+/// half zeros in a data-dependent pattern that a branch mispredicts.
+/// Each run of up to [`TERM_TILE`] terms is first compacted eight at a
+/// time: gather eight activations, compare them with zero (NaN counts
+/// as nonzero), and left-pack the survivors and their positions into
+/// stack lists through [`LEFT_PACK`]. Then the 8-lane mul/add runs over
+/// the lists. Vector lanes are distinct output elements — never partial
+/// sums — and mul/add stay separate instructions (no FMA), so every
+/// element sums the same terms in the same order as the portable
+/// kernels and the paths are bit-identical.
+///
+/// # Safety
+///
+/// AVX2 and POPCNT must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn matmul_rows_avx2<const BLOCKS: usize>(
     a: &[f32],
+    (row_stride, term_stride): (usize, usize),
     b: &[f32],
     c: &mut [f32],
     k: usize,
@@ -556,41 +602,81 @@ unsafe fn matmul_rows_avx2<const BLOCKS: usize>(
     row_end: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(col0 + BLOCKS * 8 <= n);
-    for i in row_start..row_end {
-        let c_row = c[(i - row_start) * n..(i - row_start + 1) * n].as_mut_ptr();
-        let a_row = &a[i * k..(i + 1) * k];
+    const { assert!(TERM_TILE.is_multiple_of(8)) };
+    assert!(col0 + BLOCKS * 8 <= n && b.len() >= k * n);
+    assert!(
+        k == 0
+            || row_end <= row_start
+            || (row_end - 1) * row_stride + (k - 1) * term_stride < a.len()
+    );
+    let stride = i32::try_from(term_stride)
+        .ok()
+        .filter(|s| s.checked_mul(8).is_some())
+        .expect("term stride fits a gather index");
+    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let gather = _mm256_mullo_epi32(lanes, _mm256_set1_epi32(stride));
+    let zero = _mm256_setzero_ps();
+    let mut pos = [0_i32; TERM_TILE];
+    let mut val = [0.0_f32; TERM_TILE];
+    for r in row_start..row_end {
+        let c_row = c[(r - row_start) * n..(r - row_start + 1) * n][col0..].as_mut_ptr();
         let mut acc = [_mm256_setzero_ps(); BLOCKS];
         for (bl, slot) in acc.iter_mut().enumerate() {
-            *slot = _mm256_loadu_ps(c_row.add(col0 + bl * 8));
+            *slot = _mm256_loadu_ps(c_row.add(bl * 8));
         }
-        for (p, &a_ip) in a_row.iter().enumerate() {
-            if a_ip == 0.0 {
-                continue;
+        for p0 in (0..k).step_by(TERM_TILE) {
+            let end = k.min(p0 + TERM_TILE);
+            let mut nnz = 0;
+            for q in (p0..end).step_by(8) {
+                // Lanes at or past `end` load nothing and read +0.0.
+                let live = _mm256_cmpgt_epi32(_mm256_set1_epi32((end - q) as i32), lanes);
+                // SAFETY: a live lane reads term `q + lane < end <= k`
+                // of row `r < row_end`, inside `a` by the assert above.
+                let x = _mm256_mask_i32gather_ps::<4>(
+                    zero,
+                    a.as_ptr().add(r * row_stride + q * term_stride),
+                    gather,
+                    _mm256_castsi256_ps(live),
+                );
+                let keep = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_UQ>(x, zero)) as usize;
+                let perm = _mm256_cvtepu8_epi32(_mm_loadl_epi64(LEFT_PACK[keep].as_ptr().cast()));
+                let at = _mm256_add_epi32(perm, _mm256_set1_epi32((q - p0) as i32));
+                // SAFETY: `nnz <= q - p0 <= TERM_TILE - 8`, so all eight
+                // slots written are inside the lists.
+                _mm256_storeu_ps(val.as_mut_ptr().add(nnz), _mm256_permutevar8x32_ps(x, perm));
+                _mm256_storeu_si256(pos.as_mut_ptr().add(nnz).cast(), at);
+                nnz += keep.count_ones() as usize;
             }
-            let av = _mm256_set1_ps(a_ip);
-            let b_row = b[p * n..(p + 1) * n].as_ptr();
-            for (bl, slot) in acc.iter_mut().enumerate() {
-                let bv = _mm256_loadu_ps(b_row.add(col0 + bl * 8));
-                *slot = _mm256_add_ps(*slot, _mm256_mul_ps(av, bv));
+            for (&p, &x) in pos[..nnz].iter().zip(&val[..nnz]) {
+                let av = _mm256_set1_ps(x);
+                // SAFETY: term `p0 + p < k`, so the row's `col0 + 8 *
+                // BLOCKS <= n` columns lie inside `b` (asserted above).
+                let b_row = b.as_ptr().add((p0 + p as usize) * n + col0);
+                for (bl, slot) in acc.iter_mut().enumerate() {
+                    let bv = _mm256_loadu_ps(b_row.add(bl * 8));
+                    *slot = _mm256_add_ps(*slot, _mm256_mul_ps(av, bv));
+                }
             }
         }
         for (bl, slot) in acc.iter().enumerate() {
-            _mm256_storeu_ps(c_row.add(col0 + bl * 8), *slot);
+            _mm256_storeu_ps(c_row.add(bl * 8), *slot);
         }
     }
 }
 
-/// Monomorphises [`matmul_rows_avx2`] on the lane-block count, tiling
-/// column ranges wider than the eight resident accumulators.
+/// Runs [`matmul_rows_avx2`] over all `n` columns, one tile of up to
+/// eight 256-bit accumulators at a time, monomorphised on the tile's
+/// lane-block count.
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2 is available and `n % 8 == 0` (i.e.
-/// [`avx2_cols`] returned true).
+/// Caller must ensure AVX2 and POPCNT are available and `n % 8 == 0`
+/// (i.e. [`avx2_cols`] returned true).
 #[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
 unsafe fn matmul_rows_avx2_dispatch(
     a: &[f32],
+    strides: (usize, usize),
     b: &[f32],
     c: &mut [f32],
     k: usize,
@@ -601,16 +687,17 @@ unsafe fn matmul_rows_avx2_dispatch(
     let mut col0 = 0;
     while col0 < n {
         let blocks = ((n - col0) / 8).min(8);
-        match blocks {
-            1 => matmul_rows_avx2::<1>(a, b, c, k, n, col0, row_start, row_end),
-            2 => matmul_rows_avx2::<2>(a, b, c, k, n, col0, row_start, row_end),
-            3 => matmul_rows_avx2::<3>(a, b, c, k, n, col0, row_start, row_end),
-            4 => matmul_rows_avx2::<4>(a, b, c, k, n, col0, row_start, row_end),
-            5 => matmul_rows_avx2::<5>(a, b, c, k, n, col0, row_start, row_end),
-            6 => matmul_rows_avx2::<6>(a, b, c, k, n, col0, row_start, row_end),
-            7 => matmul_rows_avx2::<7>(a, b, c, k, n, col0, row_start, row_end),
-            _ => matmul_rows_avx2::<8>(a, b, c, k, n, col0, row_start, row_end),
-        }
+        let run = match blocks {
+            1 => matmul_rows_avx2::<1>,
+            2 => matmul_rows_avx2::<2>,
+            3 => matmul_rows_avx2::<3>,
+            4 => matmul_rows_avx2::<4>,
+            5 => matmul_rows_avx2::<5>,
+            6 => matmul_rows_avx2::<6>,
+            7 => matmul_rows_avx2::<7>,
+            _ => matmul_rows_avx2::<8>,
+        };
+        run(a, strides, b, c, k, n, col0, row_start, row_end);
         col0 += blocks * 8;
     }
 }
@@ -631,7 +718,7 @@ fn matmul_rows(
     #[cfg(target_arch = "x86_64")]
     if avx2_cols(n) {
         // SAFETY: avx2_cols verified the CPU feature and lane count.
-        return unsafe { matmul_rows_avx2_dispatch(a, b, c, k, n, row_start, row_end) };
+        return unsafe { matmul_rows_avx2_dispatch(a, (k, 1), b, c, k, n, row_start, row_end) };
     }
     for i in row_start..row_end {
         let c_row = &mut c[(i - row_start) * n..(i - row_start + 1) * n];
@@ -648,78 +735,6 @@ fn matmul_rows(
     }
 }
 
-/// AVX2 variant of [`matmul_tn_rows`]: visits each output row once,
-/// accumulating its rank-1 contributions over the `k` input rows in the
-/// same ascending-`i` order as the portable kernel while the row sits
-/// in `BLOCKS` 256-bit registers. Lanes are distinct output elements
-/// and mul/add stay separate instructions, so results are
-/// bit-identical to the portable loop.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_tn_rows_avx2<const BLOCKS: usize>(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    row_start: usize,
-    row_end: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(n, BLOCKS * 8);
-    let m = a.len().checked_div(k).unwrap_or(0);
-    for p in row_start..row_end {
-        let c_row = c[(p - row_start) * n..(p - row_start + 1) * n].as_mut_ptr();
-        let mut acc = [_mm256_setzero_ps(); BLOCKS];
-        for (bl, slot) in acc.iter_mut().enumerate() {
-            *slot = _mm256_loadu_ps(c_row.add(bl * 8));
-        }
-        for i in 0..k {
-            let a_ip = a[i * m + p];
-            if a_ip == 0.0 {
-                continue;
-            }
-            let av = _mm256_set1_ps(a_ip);
-            let b_row = b[i * n..(i + 1) * n].as_ptr();
-            for (bl, slot) in acc.iter_mut().enumerate() {
-                let bv = _mm256_loadu_ps(b_row.add(bl * 8));
-                *slot = _mm256_add_ps(*slot, _mm256_mul_ps(av, bv));
-            }
-        }
-        for (bl, slot) in acc.iter().enumerate() {
-            _mm256_storeu_ps(c_row.add(bl * 8), *slot);
-        }
-    }
-}
-
-/// Monomorphises [`matmul_tn_rows_avx2`] on the lane-block count.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available and `n % 8 == 0`,
-/// `8 <= n <= 64` (i.e. [`avx2_cols`] returned true).
-#[cfg(target_arch = "x86_64")]
-unsafe fn matmul_tn_rows_avx2_dispatch(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    row_start: usize,
-    row_end: usize,
-) {
-    match n / 8 {
-        1 => matmul_tn_rows_avx2::<1>(a, b, c, k, n, row_start, row_end),
-        2 => matmul_tn_rows_avx2::<2>(a, b, c, k, n, row_start, row_end),
-        3 => matmul_tn_rows_avx2::<3>(a, b, c, k, n, row_start, row_end),
-        4 => matmul_tn_rows_avx2::<4>(a, b, c, k, n, row_start, row_end),
-        5 => matmul_tn_rows_avx2::<5>(a, b, c, k, n, row_start, row_end),
-        6 => matmul_tn_rows_avx2::<6>(a, b, c, k, n, row_start, row_end),
-        7 => matmul_tn_rows_avx2::<7>(a, b, c, k, n, row_start, row_end),
-        _ => matmul_tn_rows_avx2::<8>(a, b, c, k, n, row_start, row_end),
-    }
-}
-
 /// Output rows `row_start..row_end` of `a (k x m)ᵀ @ b (k x n)`:
 /// accumulates rank-1 contributions over the `k` input rows in fixed
 /// ascending order, so chunk boundaries never change any element's
@@ -733,12 +748,12 @@ fn matmul_tn_rows(
     row_start: usize,
     row_end: usize,
 ) {
+    let m = a.len().checked_div(k).unwrap_or(0);
     #[cfg(target_arch = "x86_64")]
     if avx2_cols(n) {
         // SAFETY: avx2_cols verified the CPU feature and lane count.
-        return unsafe { matmul_tn_rows_avx2_dispatch(a, b, c, k, n, row_start, row_end) };
+        return unsafe { matmul_rows_avx2_dispatch(a, (1, m), b, c, k, n, row_start, row_end) };
     }
-    let m = a.len().checked_div(k).unwrap_or(0);
     for i in 0..k {
         let a_row = &a[i * m..(i + 1) * m];
         let b_row = &b[i * n..(i + 1) * n];
@@ -805,6 +820,21 @@ mod tests {
         let a = Tensor::from_fn(300, 130, |i, j| ((i * 31 + j * 7) % 13) as f32 - 6.0 + 0.25);
         let g = Tensor::from_fn(300, 220, |i, j| ((i * 17 + j * 3) % 11) as f32 - 5.0 + 0.5);
         assert_eq!(a.matmul_tn(&g), a.transpose().matmul(&g));
+    }
+
+    #[test]
+    fn matmul_tn_fills_every_column_of_wide_outputs() {
+        // Wider than the 64 columns one register tile holds, so the
+        // vector path must tile columns; half the activations are zero.
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in [72, 128, 136] {
+            let a = Tensor::from_fn(37, 20, |i, j| {
+                (((i * 7 + j * 3) % 9) as f32 - 4.0).max(0.0) * 0.375
+            });
+            let b = Tensor::from_fn(37, n, |i, j| ((i * 13 + j * 5) % 17) as f32 * 0.25 - 2.1);
+            let want = a.transpose().matmul(&b);
+            assert_eq!(bits(&a.matmul_tn(&b)), bits(&want), "n = {n}");
+        }
     }
 
     #[test]

@@ -103,7 +103,7 @@ fn trained_bits_are_pinned() {
         edit(&mut config);
         config
     };
-    let cases: [(&str, ModelConfig, u64); 8] = [
+    let cases: [(&str, ModelConfig, u64); 9] = [
         ("GCN", small(GnnKind::Gcn), 0x0ed4_1c2e_ad71_bc75),
         (
             "GraphSage",
@@ -131,6 +131,13 @@ fn trained_bits_are_pinned() {
             "ParaGraph ablate_edge_types",
             paragraph(|c| c.ablate_edge_types = true),
             0xf062_4805_cddc_ad44,
+        ),
+        // The paper's width: four 8-lane blocks per GEMM row and
+        // 32-wide score dots, vector paths that F = 8 never reaches.
+        (
+            "ParaGraph F = 32",
+            paragraph(|c| c.embed_dim = 32),
+            0x210c_03c9_1fc0_0341,
         ),
     ];
     let mut wrong = Vec::new();
