@@ -16,6 +16,8 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
+
 pub use serde_derive::{Deserialize, Serialize};
 
 pub mod value;
@@ -64,6 +66,11 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Converts `self` into a value tree.
     fn to_value(&self) -> Value;
+
+    /// `self` as a value tree, borrowed when `self` already is one.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Types that can be reconstructed from a [`Value`] tree.
@@ -94,6 +101,10 @@ pub fn de_field<T: Deserialize>(map: &Map, key: &str) -> Result<T, Error> {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 

@@ -1,6 +1,8 @@
 //! The JSON-like value tree both traits go through, plus text
 //! parsing/printing used by the `serde_json` facade.
 
+use std::fmt::Write;
+
 use crate::Error;
 
 /// A JSON number. Integers keep their exact representation so `u64`
@@ -297,14 +299,14 @@ fn newline_indent(out: &mut String, pretty: bool, depth: usize) {
 }
 
 fn write_number(out: &mut String, n: Number) {
-    match n {
-        Number::U(u) => out.push_str(&u.to_string()),
-        Number::I(i) => out.push_str(&i.to_string()),
+    let _ = match n {
+        Number::U(u) => write!(out, "{u}"),
+        Number::I(i) => write!(out, "{i}"),
         // Rust's shortest-roundtrip Display keeps `f64` bits exact across
         // print/parse; non-finite values have no JSON form and become null.
-        Number::F(f) if f.is_finite() => out.push_str(&f.to_string()),
-        Number::F(_) => out.push_str("null"),
-    }
+        Number::F(f) if f.is_finite() => write!(out, "{f}"),
+        Number::F(_) => out.write_str("null"),
+    };
 }
 
 fn write_string(out: &mut String, s: &str) {

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Infallible for the value-tree model; `Result` kept for API parity.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    Ok(to_json_text(&value.to_value(), false))
+    Ok(to_json_text(&value.as_value(), false))
 }
 
 /// Serialises `value` as 2-space-indented JSON.
@@ -23,7 +23,7 @@ pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
 ///
 /// Infallible for the value-tree model; `Result` kept for API parity.
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
-    Ok(to_json_text(&value.to_value(), true))
+    Ok(to_json_text(&value.as_value(), true))
 }
 
 /// Parses JSON text into any deserialisable type.

@@ -134,18 +134,6 @@ impl CircuitGraph {
         self.net_node.iter().flatten().copied().collect()
     }
 
-    /// Global node ids of all device nodes whose device satisfies `pred`.
-    pub fn device_nodes_where(
-        &self,
-        circuit: &Circuit,
-        mut pred: impl FnMut(DeviceId) -> bool,
-    ) -> Vec<u32> {
-        (0..circuit.num_devices())
-            .filter(|&i| pred(DeviceId(i as u32)))
-            .map(|i| self.device_node[i])
-            .collect()
-    }
-
     /// Raw feature rows per node type (training-set statistics are fitted
     /// over these).
     pub fn raw_features(&self) -> &Vec<Vec<Vec<f32>>> {
@@ -155,19 +143,26 @@ impl CircuitGraph {
     /// Applies feature normalisation to the graph in place (idempotent
     /// with respect to the stored raw features: always starts from raw).
     pub fn normalize(&mut self, norm: &FeatureNorm) {
-        for (t, rows) in self.raw_features.iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            let d = rows[0].len();
-            let mut m = Tensor::zeros(rows.len(), d);
-            for (i, row) in rows.iter().enumerate() {
-                let out = m.row_mut(i);
-                out.copy_from_slice(row);
+        set_feature_tensors(&mut self.graph, &self.raw_features, Some(norm));
+    }
+}
+
+/// Sets each node type's feature tensor from its raw rows, normalised
+/// by `norm` when one is given.
+fn set_feature_tensors(graph: &mut HeteroGraph, raw: &[Vec<Vec<f32>>], norm: Option<&FeatureNorm>) {
+    for (t, rows) in raw.iter().enumerate() {
+        if rows.is_empty() {
+            continue;
+        }
+        let mut m = Tensor::zeros(rows.len(), rows[0].len());
+        for (i, row) in rows.iter().enumerate() {
+            let out = m.row_mut(i);
+            out.copy_from_slice(row);
+            if let Some(norm) = norm {
                 norm.apply(t as u16, out);
             }
-            self.graph.set_features(t as u16, m);
         }
+        graph.set_features(t as u16, m);
     }
 }
 
@@ -178,12 +173,14 @@ impl CircuitGraph {
 /// This is the cheap path for observers that only need feature
 /// statistics (e.g. the serving drift monitor, which compares every
 /// incoming circuit — cache hits included — against the training
-/// baseline): no edges, no tensors, no allocation beyond the rows.
+/// baseline): no edges, no tensors, no allocation beyond the rows and
+/// the fanout table, and linear in the circuit's size.
 pub fn raw_feature_rows(circuit: &Circuit) -> Vec<Vec<Vec<f32>>> {
     let mut raw: Vec<Vec<Vec<f32>>> = vec![Vec::new(); NodeType::ALL.len()];
-    for (id, net) in circuit.nets().iter().enumerate() {
+    let net_rows = &mut raw[NodeType::Net.id() as usize];
+    for (net, fanout) in circuit.nets().iter().zip(circuit.fanouts()) {
         if net.class == NetClass::Signal {
-            raw[NodeType::Net.id() as usize].push(net_features(circuit.fanout(NetId(id as u32))));
+            net_rows.push(net_features(fanout));
         }
     }
     for dev in circuit.devices() {
@@ -235,26 +232,8 @@ pub fn build_graph(circuit: &Circuit) -> CircuitGraph {
     let mut graph = HeteroGraph::new(&schema, node_types);
 
     // Features, grouped per type in graph row order.
-    let mut raw: Vec<Vec<Vec<f32>>> = vec![Vec::new(); NodeType::ALL.len()];
-    for (id, net) in circuit.nets().iter().enumerate() {
-        if net.class == NetClass::Signal {
-            raw[NodeType::Net.id() as usize].push(net_features(circuit.fanout(NetId(id as u32))));
-        }
-    }
-    for dev in circuit.devices() {
-        raw[NodeType::of_device(dev.kind).id() as usize].push(device_features(dev));
-    }
-    for (t, rows) in raw.iter().enumerate() {
-        if rows.is_empty() {
-            continue;
-        }
-        let d = rows[0].len();
-        let mut m = Tensor::zeros(rows.len(), d);
-        for (i, row) in rows.iter().enumerate() {
-            m.row_mut(i).copy_from_slice(row);
-        }
-        graph.set_features(t as u16, m);
-    }
+    let raw = raw_feature_rows(circuit);
+    set_feature_tensors(&mut graph, &raw, None);
 
     // Edges: two directed edges per (signal) terminal connection.
     let mut src: Vec<Vec<u32>> = vec![Vec::new(); NUM_EDGE_TYPES];

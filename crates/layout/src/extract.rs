@@ -368,12 +368,13 @@ pub fn designer_estimate(circuit: &Circuit, designer_seed: u64) -> Vec<Option<f6
     circuit
         .nets()
         .iter()
+        .zip(circuit.fanouts())
         .enumerate()
-        .map(|(i, net)| {
+        .map(|(i, (net, fanout))| {
             if net.class != NetClass::Signal {
                 return None;
             }
-            let fanout = circuit.fanout(NetId(i as u32)) as f64;
+            let fanout = fanout as f64;
             // ... plus per-net guesswork scatter.
             let scatter = noise(designer_seed, 5678, i as u64, 1.0);
             Some(0.12e-15 * fanout.max(1.0).powf(1.2) * bias * scatter)

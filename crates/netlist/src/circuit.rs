@@ -5,6 +5,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::units::starts_with_ignore_case;
+
 /// MOSFET channel polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MosPolarity {
@@ -283,11 +285,6 @@ impl Circuit {
         self.net_index.get(name).copied()
     }
 
-    /// Overrides a net's class.
-    pub fn set_net_class(&mut self, id: NetId, class: NetClass) {
-        self.nets[id.0 as usize].class = class;
-    }
-
     /// Adds a device with explicit terminal connections.
     ///
     /// # Panics
@@ -300,11 +297,10 @@ impl Circuit {
         conns: &[(Terminal, NetId)],
         params: DeviceParams,
     ) -> DeviceId {
-        let expected = kind.terminals();
-        assert_eq!(
-            conns.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
-            expected.to_vec(),
-            "terminal list mismatch for {kind}"
+        let terminals = conns.iter().map(|(t, _)| t);
+        assert!(
+            terminals.eq(kind.terminals()),
+            "terminal list mismatch for {kind}: {conns:?}"
         );
         let id = DeviceId(self.devices.len() as u32);
         self.devices.push(Device {
@@ -447,11 +443,6 @@ impl Circuit {
         &self.devices[id.0 as usize]
     }
 
-    /// Mutable device lookup.
-    pub fn device_mut(&mut self, id: DeviceId) -> &mut Device {
-        &mut self.devices[id.0 as usize]
-    }
-
     /// Number of nets (including supply/ground).
     pub fn num_nets(&self) -> usize {
         self.nets.len()
@@ -462,13 +453,24 @@ impl Circuit {
         self.devices.len()
     }
 
-    /// Number of device terminals attached to `net`.
+    /// Number of device terminals attached to `net`. Scans every
+    /// terminal: use [`Circuit::fanouts`] for more than one net.
     pub fn fanout(&self, net: NetId) -> usize {
         self.devices
             .iter()
             .flat_map(|d| d.conns.iter())
             .filter(|(_, n)| *n == net)
             .count()
+    }
+
+    /// [`Circuit::fanout`] of every net, indexed by [`NetId`], from one
+    /// pass over the device terminals.
+    pub fn fanouts(&self) -> Vec<usize> {
+        let mut counts = vec![0; self.nets.len()];
+        for (_, net) in self.devices.iter().flat_map(|d| d.conns.iter()) {
+            counts[net.0 as usize] += 1;
+        }
+        counts
     }
 
     /// Per-kind device counts `(tran, tran_th, res, cap, bjt, dio)` as in
@@ -588,20 +590,11 @@ impl KindCounts {
 /// Infers supply/ground class from a net name, as commonly spelled in
 /// industrial netlists.
 pub fn classify_net_name(name: &str) -> NetClass {
-    let lower = name.to_ascii_lowercase();
-    if lower == "0"
-        || lower.starts_with("vss")
-        || lower.starts_with("gnd")
-        || lower.starts_with("agnd")
-        || lower.starts_with("dgnd")
-    {
+    let starts_with_any =
+        |prefixes: &[&str]| prefixes.iter().any(|p| starts_with_ignore_case(name, p));
+    if name == "0" || starts_with_any(&["vss", "gnd", "agnd", "dgnd"]) {
         NetClass::Ground
-    } else if lower.starts_with("vdd")
-        || lower.starts_with("vcc")
-        || lower.starts_with("avdd")
-        || lower.starts_with("dvdd")
-        || lower.starts_with("vpwr")
-    {
+    } else if starts_with_any(&["vdd", "vcc", "avdd", "dvdd", "vpwr"]) {
         NetClass::Supply
     } else {
         NetClass::Signal
@@ -657,16 +650,27 @@ mod tests {
         assert_eq!(classify_net_name("VSS"), NetClass::Ground);
         assert_eq!(classify_net_name("0"), NetClass::Ground);
         assert_eq!(classify_net_name("out"), NetClass::Signal);
+        assert_eq!(classify_net_name("AGnd_io"), NetClass::Ground);
+        assert_eq!(classify_net_name("DVdd"), NetClass::Supply);
+        assert_eq!(classify_net_name("vs"), NetClass::Signal);
+        assert_eq!(classify_net_name("00"), NetClass::Signal);
+        assert_eq!(classify_net_name("µvdd"), NetClass::Signal);
     }
 
     #[test]
     fn fanout_counts_terminals() {
-        let c = inverter();
+        let mut c = inverter();
         let out = c.find_net("out").unwrap();
         assert_eq!(c.fanout(out), 2);
         let vdd = c.find_net("vdd").unwrap();
         // Source + bulk of the PMOS.
         assert_eq!(c.fanout(vdd), 2);
+        c.net("dangling");
+        let per_net: Vec<usize> = (0..c.num_nets())
+            .map(|i| c.fanout(NetId(i as u32)))
+            .collect();
+        assert_eq!(c.fanouts(), per_net);
+        assert_eq!(per_net, [2, 2, 2, 2, 0]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::circuit::{classify_net_name, Circuit, NetClass, NetId};
+use crate::circuit::{classify_net_name, Circuit, NetClass, NetId, Terminal};
 
 /// An instantiation of a subcircuit inside another subcircuit.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,11 +141,6 @@ impl Netlist {
         self.subckts.push(subckt);
     }
 
-    /// Finds a subcircuit definition by name.
-    pub fn find_subckt(&self, name: &str) -> Option<&Subckt> {
-        self.subckts.iter().find(|s| s.name == name)
-    }
-
     /// Flattens the hierarchy into a single [`Circuit`].
     ///
     /// Internal nets are renamed `instance/net`; supply and ground nets keep
@@ -169,52 +164,53 @@ impl Netlist {
         Ok(out)
     }
 
-    fn expand(
-        &self,
-        subckt: &Subckt,
+    /// Adds `subckt`'s devices, and recursively its instances', to
+    /// `out`. `port_map` binds each port name to the flat net it
+    /// connects to; `prefix` is the instance path (`x0/u1/`).
+    fn expand<'a>(
+        &'a self,
+        subckt: &'a Subckt,
         prefix: &str,
-        port_map: &HashMap<String, String>,
+        port_map: &HashMap<&'a str, NetId>,
         out: &mut Circuit,
         index: &HashMap<&str, usize>,
-        stack: &mut Vec<String>,
+        stack: &mut Vec<&'a str>,
     ) -> Result<(), FlattenError> {
-        if stack.contains(&subckt.name) {
+        if stack.contains(&subckt.name.as_str()) {
             return Err(FlattenError::RecursiveSubckt {
                 subckt: subckt.name.clone(),
             });
         }
-        stack.push(subckt.name.clone());
+        stack.push(&subckt.name);
 
-        // Local-net-name -> flat-net-id resolution.
-        let resolve = |out: &mut Circuit, local: &str| -> NetId {
-            if let Some(mapped) = port_map.get(local) {
-                return out.net(mapped);
+        // Local-net-name -> flat-net-id resolution; `path` is reused for
+        // the prefixed names of internal nets.
+        let mut path = String::new();
+        let mut resolve = |out: &mut Circuit, local: &str| -> NetId {
+            if let Some(&id) = port_map.get(local) {
+                return id;
             }
-            if classify_net_name(local) != NetClass::Signal {
+            if prefix.is_empty() || classify_net_name(local) != NetClass::Signal {
                 return out.net(local); // rails stay global
             }
-            if prefix.is_empty() {
-                out.net(local)
-            } else {
-                out.net(format!("{prefix}{local}"))
-            }
+            path.clear();
+            path.push_str(prefix);
+            path.push_str(local);
+            out.net(&path)
         };
 
+        // Every device kind has at most four terminals.
+        let mut conns = [(Terminal::Drain, NetId(0)); 4];
         for dev in subckt.circuit.devices() {
-            let conns: Vec<_> = dev
-                .conns
-                .iter()
-                .map(|(t, n)| {
-                    let local = &subckt.circuit.net_ref(*n).name;
-                    (*t, resolve(out, local))
-                })
-                .collect();
+            for (slot, (t, n)) in conns.iter_mut().zip(&dev.conns) {
+                *slot = (*t, resolve(out, &subckt.circuit.net_ref(*n).name));
+            }
             let name = if prefix.is_empty() {
                 dev.name.clone()
             } else {
                 format!("{prefix}{}", dev.name)
             };
-            out.add_device(name, dev.kind, &conns, dev.params);
+            out.add_device(name, dev.kind, &conns[..dev.conns.len()], dev.params);
         }
 
         for inst in &subckt.instances {
@@ -234,13 +230,13 @@ impl Netlist {
                 });
             }
             // The instance's connections are local names in *this* scope;
-            // resolve them to flat names first.
-            let mut child_map = HashMap::new();
-            for (port, conn) in child.ports.iter().zip(&inst.conns) {
-                let flat_id = resolve(out, conn);
-                let flat_name = out.net_ref(flat_id).name.clone();
-                child_map.insert(port.clone(), flat_name);
-            }
+            // resolve them to flat nets first.
+            let child_map: HashMap<&str, NetId> = child
+                .ports
+                .iter()
+                .zip(&inst.conns)
+                .map(|(port, conn)| (port.as_str(), resolve(out, conn)))
+                .collect();
             let child_prefix = format!("{prefix}{}/", inst.name);
             self.expand(child, &child_prefix, &child_map, out, index, stack)?;
         }

@@ -5,11 +5,12 @@
 //! suffixes, `.subckt`/`.ends`, `+` continuation lines, and `*`/`$`
 //! comments.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write};
 
 use crate::circuit::{Circuit, DeviceKind, DeviceParams, MosPolarity};
 use crate::hierarchy::{Instance, Netlist, Subckt};
-use crate::units::parse_value;
+use crate::units::{parse_value, starts_with_ignore_case, write_value};
 
 /// Error from [`parse_spice`], with the 1-based source line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,20 +51,23 @@ impl std::error::Error for ParseSpiceError {}
 /// assert_eq!(flat.num_devices(), 2);
 /// ```
 pub fn parse_spice(source: &str) -> Result<Netlist, ParseSpiceError> {
+    let source = source.to_ascii_lowercase();
+    let lines = logical_lines(&source);
     let mut netlist = Netlist::new("top");
     let mut current: Option<Subckt> = None;
+    // One token buffer and one parameter split, reused by every card.
+    let (mut tokens, mut positional, mut kv) = (Vec::new(), Vec::new(), Vec::new());
 
-    for (line_no, raw) in logical_lines(source) {
+    for (line_no, line) in &lines {
         let err = |message: String| ParseSpiceError {
-            line: line_no,
+            line: *line_no,
             message,
         };
-        let lower = raw.to_ascii_lowercase();
-        let tokens: Vec<&str> = lower.split_whitespace().collect();
-        if tokens.is_empty() {
+        tokens.clear();
+        tokens.extend(line.split_whitespace());
+        let Some(&card) = tokens.first() else {
             continue;
-        }
-        let card = tokens[0];
+        };
         if card.starts_with(".subckt") {
             if current.is_some() {
                 return Err(err("nested .subckt is not supported".into()));
@@ -88,16 +92,15 @@ pub fn parse_spice(source: &str) -> Result<Netlist, ParseSpiceError> {
             netlist.add_subckt(sub);
             continue;
         }
-        if card.starts_with(".end") || card.starts_with(".option") || card.starts_with(".global") {
-            continue;
-        }
         if card.starts_with('.') {
-            // Tolerate unknown dot-cards (models, temperature, ...).
+            // `.end`, `.option`, `.global` and unknown dot-cards (models,
+            // temperature, ...) carry nothing the netlist keeps.
             continue;
         }
 
         let scope = current.as_mut().unwrap_or(&mut netlist.top);
-        parse_card(&tokens, scope).map_err(err)?;
+        split_params(&tokens[1..], &mut positional, &mut kv);
+        parse_card(card, &positional, &kv, scope).map_err(err)?;
     }
 
     if let Some(sub) = current {
@@ -110,9 +113,10 @@ pub fn parse_spice(source: &str) -> Result<Netlist, ParseSpiceError> {
 }
 
 /// Joins `+` continuation lines and strips comments; yields
-/// `(line_number, logical_line)`.
-fn logical_lines(source: &str) -> Vec<(usize, String)> {
-    let mut out: Vec<(usize, String)> = Vec::new();
+/// `(line_number, logical_line)`. A line is borrowed from `source`
+/// unless continuations were appended to it.
+fn logical_lines(source: &str) -> Vec<(usize, Cow<'_, str>)> {
+    let mut out: Vec<(usize, Cow<'_, str>)> = Vec::new();
     for (i, raw) in source.lines().enumerate() {
         // `$` / `;` start a trailing comment only at line start or after
         // whitespace (mid-token they are part of a name).
@@ -124,27 +128,47 @@ fn logical_lines(source: &str) -> Vec<(usize, String)> {
                 break;
             }
         }
-        let line = &raw[..cut];
-        let trimmed = line.trim();
+        let trimmed = raw[..cut].trim();
         if trimmed.is_empty() || trimmed.starts_with('*') {
             continue;
         }
         if let Some(cont) = trimmed.strip_prefix('+') {
-            if let Some(last) = out.last_mut() {
-                last.1.push(' ');
-                last.1.push_str(cont.trim());
+            if let Some((_, last)) = out.last_mut() {
+                let joined = last.to_mut();
+                joined.push(' ');
+                joined.push_str(cont.trim());
                 continue;
             }
         }
-        out.push((i + 1, trimmed.to_owned()));
+        out.push((i + 1, Cow::Borrowed(trimmed)));
     }
     out
 }
 
-fn parse_card(tokens: &[&str], scope: &mut Subckt) -> Result<(), String> {
-    let name = tokens[0];
+/// Splits a card's tokens after its name into positional tokens and
+/// `key=value` pairs, reusing both buffers.
+fn split_params<'a>(
+    tokens: &[&'a str],
+    positional: &mut Vec<&'a str>,
+    kv: &mut Vec<(&'a str, &'a str)>,
+) {
+    positional.clear();
+    kv.clear();
+    for t in tokens {
+        match t.split_once('=') {
+            Some(pair) => kv.push(pair),
+            None => positional.push(t),
+        }
+    }
+}
+
+fn parse_card(
+    name: &str,
+    positional: &[&str],
+    kv: &[(&str, &str)],
+    scope: &mut Subckt,
+) -> Result<(), String> {
     let kind_char = name.chars().next().unwrap();
-    let (positional, kv) = split_params(&tokens[1..]);
     let get = |key: &str| -> Option<f64> {
         kv.iter()
             .find(|(k, _)| *k == key)
@@ -167,10 +191,7 @@ fn parse_card(tokens: &[&str], scope: &mut Subckt) -> Result<(), String> {
                 multi: get("m").unwrap_or(1.0) as u32,
                 value: 0.0,
             };
-            let d = scope.circuit.net(positional[0]);
-            let g = scope.circuit.net(positional[1]);
-            let s = scope.circuit.net(positional[2]);
-            let b = scope.circuit.net(positional[3]);
+            let [d, g, s, b] = [0, 1, 2, 3].map(|i| scope.circuit.net(positional[i]));
             scope
                 .circuit
                 .add_mosfet(name, polarity, thick, d, g, s, b, params);
@@ -179,8 +200,7 @@ fn parse_card(tokens: &[&str], scope: &mut Subckt) -> Result<(), String> {
             if positional.len() < 3 {
                 return Err(format!("resistor '{name}' needs 2 nets + value"));
             }
-            let p = scope.circuit.net(positional[0]);
-            let n = scope.circuit.net(positional[1]);
+            let [p, n] = [0, 1].map(|i| scope.circuit.net(positional[i]));
             let ohms = parse_value(positional[2]).map_err(|e| e.to_string())?;
             let l = get("l").unwrap_or(1e-6);
             scope.circuit.add_resistor(name, p, n, ohms, l);
@@ -189,8 +209,7 @@ fn parse_card(tokens: &[&str], scope: &mut Subckt) -> Result<(), String> {
             if positional.len() < 3 {
                 return Err(format!("capacitor '{name}' needs 2 nets + value"));
             }
-            let p = scope.circuit.net(positional[0]);
-            let n = scope.circuit.net(positional[1]);
+            let [p, n] = [0, 1].map(|i| scope.circuit.net(positional[i]));
             let farads = parse_value(positional[2]).map_err(|e| e.to_string())?;
             let multi = get("m").unwrap_or(1.0) as u32;
             scope.circuit.add_capacitor(name, p, n, farads, multi);
@@ -199,8 +218,7 @@ fn parse_card(tokens: &[&str], scope: &mut Subckt) -> Result<(), String> {
             if positional.len() < 2 {
                 return Err(format!("diode '{name}' needs 2 nets"));
             }
-            let p = scope.circuit.net(positional[0]);
-            let n = scope.circuit.net(positional[1]);
+            let [p, n] = [0, 1].map(|i| scope.circuit.net(positional[i]));
             let nf = get("nf").unwrap_or(1.0) as u32;
             scope.circuit.add_diode(name, p, n, nf);
         }
@@ -208,9 +226,7 @@ fn parse_card(tokens: &[&str], scope: &mut Subckt) -> Result<(), String> {
             if positional.len() < 4 {
                 return Err(format!("bjt '{name}' needs 3 nets + model"));
             }
-            let c = scope.circuit.net(positional[0]);
-            let b = scope.circuit.net(positional[1]);
-            let e = scope.circuit.net(positional[2]);
+            let [c, b, e] = [0, 1, 2].map(|i| scope.circuit.net(positional[i]));
             let pnp = positional[3].contains("pnp");
             scope.circuit.add_bjt(name, pnp, c, b, e);
         }
@@ -234,18 +250,6 @@ fn parse_card(tokens: &[&str], scope: &mut Subckt) -> Result<(), String> {
     Ok(())
 }
 
-fn split_params<'a>(tokens: &[&'a str]) -> (Vec<&'a str>, Vec<(&'a str, &'a str)>) {
-    let mut positional = Vec::new();
-    let mut kv = Vec::new();
-    for t in tokens {
-        match t.split_once('=') {
-            Some((k, v)) => kv.push((k, v)),
-            None => positional.push(*t),
-        }
-    }
-    (positional, kv)
-}
-
 fn mos_model(model: &str) -> Option<(MosPolarity, bool)> {
     let thick = model.contains("25") || model.contains("hv") || model.contains("thick");
     if model.starts_with('n') {
@@ -263,36 +267,42 @@ fn mos_model(model: &str) -> Option<(MosPolarity, bool)> {
 /// flattened circuit.
 pub fn write_spice(netlist: &Netlist) -> String {
     let mut out = String::new();
-    out.push_str(&format!("* netlist {}\n", netlist.top.name));
+    let _ = writeln!(out, "* netlist {}", netlist.top.name);
     for sub in &netlist.subckts {
-        out.push_str(&format!(".subckt {} {}\n", sub.name, sub.ports.join(" ")));
-        write_body(&mut out, sub);
+        let _ = writeln!(out, ".subckt {} {}", sub.name, sub.ports.join(" "));
+        write_body(&mut out, &sub.circuit, &sub.instances);
         out.push_str(".ends\n");
     }
-    write_body(&mut out, &netlist.top);
+    write_body(&mut out, &netlist.top.circuit, &netlist.top.instances);
     out.push_str(".end\n");
     out
 }
 
 /// Serialises a flat circuit as a top-level SPICE deck.
 pub fn write_flat_spice(circuit: &Circuit) -> String {
-    let sub = Subckt {
-        name: circuit.name.clone(),
-        ports: vec![],
-        circuit: circuit.clone(),
-        instances: vec![],
-    };
-    let mut out = format!("* flat circuit {}\n", circuit.name);
-    write_body(&mut out, &sub);
+    // Cards run ~50–80 bytes; reserving up front spares the regrowth.
+    let mut out = String::with_capacity(64 + 80 * circuit.num_devices());
+    let _ = writeln!(out, "* flat circuit {}", circuit.name);
+    write_body(&mut out, circuit, &[]);
     out.push_str(".end\n");
     out
 }
 
-fn write_body(out: &mut String, sub: &Subckt) {
-    use crate::units::format_value;
-    let net = |id| &sub.circuit.net_ref(id).name;
-    for d in sub.circuit.devices() {
+fn write_body(out: &mut String, circuit: &Circuit, instances: &[Instance]) {
+    for d in circuit.devices() {
         let p = &d.params;
+        let prefix = match d.kind {
+            DeviceKind::Mosfet { .. } => "m",
+            DeviceKind::Resistor => "r",
+            DeviceKind::Capacitor => "c",
+            DeviceKind::Diode => "d",
+            DeviceKind::Bjt { .. } => "q",
+        };
+        write_card_name(out, &d.name, prefix);
+        for (_, net) in &d.conns {
+            out.push(' ');
+            out.push_str(&circuit.net_ref(*net).name);
+        }
         match d.kind {
             DeviceKind::Mosfet {
                 polarity,
@@ -304,80 +314,43 @@ fn write_body(out: &mut String, sub: &Subckt) {
                     (MosPolarity::Nmos, true) => "nch_hv",
                     (MosPolarity::Pmos, true) => "pch_hv",
                 };
-                out.push_str(&format!(
-                    "{} {} {} {} {} {} l={} nfin={} nf={} m={}\n",
-                    ensure_prefix(&d.name, 'm'),
-                    net(d.conns[0].1),
-                    net(d.conns[1].1),
-                    net(d.conns[2].1),
-                    net(d.conns[3].1),
-                    model,
-                    format_value(p.l),
-                    p.nfin,
-                    p.nf,
-                    p.multi,
-                ));
+                let _ = write!(out, " {model} l=");
+                write_value(out, p.l);
+                let _ = write!(out, " nfin={} nf={} m={}", p.nfin, p.nf, p.multi);
             }
             DeviceKind::Resistor => {
-                out.push_str(&format!(
-                    "{} {} {} {} l={}\n",
-                    ensure_prefix(&d.name, 'r'),
-                    net(d.conns[0].1),
-                    net(d.conns[1].1),
-                    format_value(p.value),
-                    format_value(p.l),
-                ));
+                out.push(' ');
+                write_value(out, p.value);
+                out.push_str(" l=");
+                write_value(out, p.l);
             }
             DeviceKind::Capacitor => {
-                out.push_str(&format!(
-                    "{} {} {} {} m={}\n",
-                    ensure_prefix(&d.name, 'c'),
-                    net(d.conns[0].1),
-                    net(d.conns[1].1),
-                    format_value(p.value),
-                    p.multi,
-                ));
+                out.push(' ');
+                write_value(out, p.value);
+                let _ = write!(out, " m={}", p.multi);
             }
             DeviceKind::Diode => {
-                out.push_str(&format!(
-                    "{} {} {} dnom nf={}\n",
-                    ensure_prefix(&d.name, 'd'),
-                    net(d.conns[0].1),
-                    net(d.conns[1].1),
-                    p.nf,
-                ));
+                let _ = write!(out, " dnom nf={}", p.nf);
             }
-            DeviceKind::Bjt { pnp } => {
-                out.push_str(&format!(
-                    "{} {} {} {} {}\n",
-                    ensure_prefix(&d.name, 'q'),
-                    net(d.conns[0].1),
-                    net(d.conns[1].1),
-                    net(d.conns[2].1),
-                    if pnp { "pnp" } else { "npn" },
-                ));
-            }
+            DeviceKind::Bjt { pnp } => out.push_str(if pnp { " pnp" } else { " npn" }),
         }
+        out.push('\n');
     }
-    for inst in &sub.instances {
-        out.push_str(&format!(
-            "{} {} {}\n",
-            ensure_prefix(&inst.name, 'x'),
-            inst.conns.join(" "),
-            inst.subckt,
-        ));
+    for inst in instances {
+        write_card_name(out, &inst.name, "x");
+        let _ = writeln!(out, " {} {}", inst.conns.join(" "), inst.subckt);
     }
 }
 
 /// SPICE cards are typed by their first letter; prefix names that would
 /// otherwise parse as a different card (device names from flattening may
 /// start with any letter).
-fn ensure_prefix(name: &str, prefix: char) -> String {
-    if name.to_ascii_lowercase().starts_with(prefix) {
-        name.to_owned()
-    } else {
-        format!("{prefix}_{name}")
+fn write_card_name(out: &mut String, name: &str, prefix: &str) {
+    if !starts_with_ignore_case(name, prefix) {
+        out.push_str(prefix);
+        out.push('_');
     }
+    out.push_str(name);
 }
 
 #[cfg(test)]

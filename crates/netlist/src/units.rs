@@ -1,6 +1,6 @@
 //! SPICE engineering-notation number parsing and formatting.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Error returned when a SPICE number cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,11 +65,10 @@ pub fn parse_value(text: &str) -> Result<f64, ParseValueError> {
     }
     let (num, suffix) = trimmed.split_at(split);
     let base: f64 = num.parse().map_err(|_| err())?;
-    let lower = suffix.to_ascii_lowercase();
-    let mult = if lower.starts_with("meg") {
+    let mult = if starts_with_ignore_case(suffix, "meg") {
         1e6
     } else {
-        match lower.chars().next() {
+        match suffix.chars().next().map(|c| c.to_ascii_lowercase()) {
             None => 1.0,
             Some('t') => 1e12,
             Some('g') => 1e9,
@@ -101,10 +100,19 @@ pub fn parse_value(text: &str) -> Result<f64, ParseValueError> {
 /// assert_eq!(format_value(0.0), "0");
 /// ```
 pub fn format_value(value: f64) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value);
+    out
+}
+
+/// Appends [`format_value`]'s text for `value` to `out`, without a
+/// temporary string.
+pub(crate) fn write_value(out: &mut String, value: f64) {
     if value == 0.0 {
-        return "0".to_owned();
+        out.push('0');
+        return;
     }
-    const SCALES: [(f64, &str); 9] = [
+    const SCALES: [(f64, &str); 10] = [
         (1e12, "t"),
         (1e9, "g"),
         (1e6, "meg"),
@@ -114,24 +122,25 @@ pub fn format_value(value: f64) -> String {
         (1e-6, "u"),
         (1e-9, "n"),
         (1e-12, "p"),
+        (1e-15, "f"),
     ];
     let abs = value.abs();
-    for (scale, suffix) in SCALES {
-        if abs >= scale * 0.9999999 {
-            return format!("{}{}", trim_float(value / scale), suffix);
-        }
-    }
-    // Femto and below.
-    if abs >= 1e-15 * 0.9999999 {
-        return format!("{}f", trim_float(value / 1e-15));
-    }
-    format!("{}a", trim_float(value / 1e-18))
+    let (scale, suffix) = SCALES
+        .into_iter()
+        .find(|(scale, _)| abs >= scale * 0.9999999)
+        .unwrap_or((1e-18, "a"));
+    // Six decimals, trailing zeros and a bare point trimmed. A finite
+    // value always prints a point, so the trim stops inside the number.
+    let _ = write!(out, "{:.6}", value / scale);
+    out.truncate(out.trim_end_matches('0').trim_end_matches('.').len());
+    out.push_str(suffix);
 }
 
-fn trim_float(v: f64) -> String {
-    let s = format!("{v:.6}");
-    let s = s.trim_end_matches('0').trim_end_matches('.');
-    s.to_owned()
+/// ASCII case-insensitive `text.starts_with(prefix)`, copy-free.
+pub(crate) fn starts_with_ignore_case(text: &str, prefix: &str) -> bool {
+    text.as_bytes()
+        .get(..prefix.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(prefix.as_bytes()))
 }
 
 #[cfg(test)]

@@ -439,9 +439,10 @@ impl Conn {
     }
 
     /// `POST /predict`: the body is the same JSON object the line
-    /// protocol takes (`op` defaults to `predict`), submitted through
-    /// the identical [`crate::Service::submit_line`] path so payloads
-    /// stay bit-identical across protocols.
+    /// protocol takes (`op` defaults to `predict`). It is parsed once
+    /// and handed to [`crate::Service::submit_value`], the path
+    /// [`crate::Service::submit_line`] takes after its own parse, so
+    /// payloads stay bit-identical across protocols.
     fn route_predict(&mut self, ctx: &ShardCtx, body: &[u8], keep_alive: bool) {
         let Ok(text) = std::str::from_utf8(body) else {
             let body = http::error_body("bad_request", "request body is not valid UTF-8");
@@ -455,14 +456,15 @@ impl Conn {
             );
             return;
         };
-        let line = match serde_json::from_str::<Value>(text) {
-            Err(_) => text.to_owned(), // submit_line reports malformed JSON
+        let parse_started = Instant::now();
+        let submitted = match serde_json::from_str::<Value>(text) {
+            Err(_) => ctx.service.submit_line(text), // reports the malformed JSON
             Ok(Value::Object(mut map)) => match map.get("op").and_then(Value::as_str) {
                 None if map.get("op").is_none() => {
                     map.insert("op", Value::String("predict".into()));
-                    serde_json::to_string(&Value::Object(map)).expect("object serialises")
+                    ctx.service.submit_value(Value::Object(map), parse_started)
                 }
-                Some("predict") => text.to_owned(),
+                Some("predict") => ctx.service.submit_value(Value::Object(map), parse_started),
                 _ => {
                     let body = http::error_body(
                         "bad_request",
@@ -479,9 +481,10 @@ impl Conn {
                     return;
                 }
             },
-            Ok(_) => text.to_owned(), // submit_line reports the non-object
+            // submit_value reports the non-object
+            Ok(other) => ctx.service.submit_value(other, parse_started),
         };
-        match ctx.service.submit_line(&line) {
+        match submitted {
             Submitted::Done(envelope) => {
                 self.encode_envelope(&envelope, RespKind::Http { keep_alive })
             }

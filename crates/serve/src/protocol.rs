@@ -154,12 +154,17 @@ impl Request {
     /// malformed JSON, a non-object, a missing/unknown `op`, or
     /// wrongly-typed fields.
     pub fn parse(line: &str) -> Result<Request, ServeError> {
+        let value = serde_json::from_str(line).map_err(malformed_json)?;
+        Request::from_value(value)
+    }
+
+    /// [`Request::parse`] of an already parsed JSON line, moving the
+    /// netlist text out of it rather than copying it.
+    pub(crate) fn from_value(value: Value) -> Result<Request, ServeError> {
         let bad = |m: String| ServeError::new(ErrorCode::BadRequest, m);
-        let value: Value =
-            serde_json::from_str(line).map_err(|e| bad(format!("malformed JSON: {e}")))?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| bad("request must be a JSON object".into()))?;
+        let Value::Object(mut obj) = value else {
+            return Err(bad("request must be a JSON object".into()));
+        };
         for (key, _) in obj.iter() {
             if !matches!(
                 key.as_str(),
@@ -173,16 +178,6 @@ impl Request {
             .and_then(Value::as_str)
             .ok_or_else(|| bad("missing string field 'op'".into()))?;
         let op = Op::from_name(op_name).ok_or_else(|| bad(format!("unknown op '{op_name}'")))?;
-        let get_str = |key: &str| -> Result<Option<String>, ServeError> {
-            match obj.get(key) {
-                None | Some(Value::Null) => Ok(None),
-                Some(Value::String(s)) => Ok(Some(s.clone())),
-                Some(other) => Err(bad(format!(
-                    "field '{key}' must be a string, got {}",
-                    other.kind_name()
-                ))),
-            }
-        };
         let deadline_ms = match obj.get("deadline_ms") {
             None | Some(Value::Null) => None,
             Some(v) => Some(v.as_u64().ok_or_else(|| {
@@ -202,22 +197,38 @@ impl Request {
                 )))
             }
         };
+        let mut take_str = |key: &str| -> Result<Option<String>, ServeError> {
+            match obj.remove(key) {
+                None | Some(Value::Null) => Ok(None),
+                Some(Value::String(s)) => Ok(Some(s)),
+                Some(other) => Err(bad(format!(
+                    "field '{key}' must be a string, got {}",
+                    other.kind_name()
+                ))),
+            }
+        };
         Ok(Request {
-            id: obj.get("id").cloned().unwrap_or(Value::Null),
             op,
-            model: get_str("model")?,
-            netlist: get_str("netlist")?,
+            model: take_str("model")?,
+            netlist: take_str("netlist")?,
+            id: obj.remove("id").unwrap_or(Value::Null),
             deadline_ms,
             debug,
         })
     }
 }
 
+/// The `bad_request` error for a line that is not JSON.
+pub(crate) fn malformed_json(err: serde_json::Error) -> ServeError {
+    ServeError::new(ErrorCode::BadRequest, format!("malformed JSON: {err}"))
+}
+
 /// Builds a success response envelope. `cached` is reported for
 /// `predict` so clients can observe cache behaviour; the `result`
 /// payload itself is identical on both paths.
 pub fn ok_response(id: &Value, result: Value, cached: Option<bool>) -> Value {
-    let mut v = json!({"id": id.clone(), "ok": true, "result": result});
+    let mut v = json!({"id": id.clone(), "ok": true});
+    v["result"] = result; // moved in: `json!` would copy it
     if let Some(c) = cached {
         v["cached"] = Value::Bool(c);
     }

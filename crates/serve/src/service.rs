@@ -20,6 +20,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use paragraph::Target;
 use paragraph_netlist::{erc_check, parse_spice, write_flat_spice, Circuit};
 use paragraph_obs::{Counter, RequestRecord, SpanContext, Stage, Stages};
 use serde_json::{json, Value};
@@ -27,7 +28,9 @@ use serde_json::{json, Value};
 use crate::cache::{fnv1a, PredictionCache};
 use crate::drift::{baseline_from_snapshot, DriftConfig, DriftMonitor};
 use crate::metrics::Metrics;
-use crate::protocol::{error_response, ok_response, ErrorCode, Op, Request, ServeError};
+use crate::protocol::{
+    error_response, malformed_json, ok_response, ErrorCode, Op, Request, ServeError,
+};
 use crate::registry::{ModelRef, ModelRegistry};
 
 /// Service tuning knobs.
@@ -291,27 +294,32 @@ impl Service {
     /// [`Submitted::Pending`] unless the queue rejected them.
     pub fn submit_line(&self, line: &str) -> Submitted {
         let parse_started = Instant::now();
-        match Request::parse(line) {
+        match serde_json::from_str::<Value>(line) {
+            Ok(value) => self.submit_value(value, parse_started),
+            Err(err) => {
+                self.metrics.bad_line();
+                Submitted::Done(error_response(&Value::Null, &malformed_json(err)))
+            }
+        }
+    }
+
+    /// [`Service::submit_line`] for a line already parsed into JSON;
+    /// `parse_started` is when its parse began, so the request's parse
+    /// stage still covers it.
+    pub fn submit_value(&self, value: Value, parse_started: Instant) -> Submitted {
+        // Salvage the id for an error envelope before the request takes
+        // the value apart.
+        let id = value.get("id").cloned().unwrap_or(Value::Null);
+        match Request::from_value(value) {
             Ok(request) => {
                 let parse_us = parse_started.elapsed().as_secs_f64() * 1e6;
                 self.submit_with_parse(request, parse_us)
             }
             Err(err) => {
-                // Salvage the id for the error envelope when the line was
-                // at least a JSON object.
-                let id = serde_json::from_str::<Value>(line)
-                    .ok()
-                    .and_then(|v| v.get("id").cloned())
-                    .unwrap_or(Value::Null);
                 self.metrics.bad_line();
                 Submitted::Done(error_response(&id, &err))
             }
         }
-    }
-
-    /// Submits one parsed request without blocking on the worker pool.
-    pub fn submit(&self, request: Request) -> Submitted {
-        self.submit_with_parse(request, 0.0)
     }
 
     fn submit_with_parse(&self, request: Request, parse_us: f64) -> Submitted {
@@ -1015,34 +1023,22 @@ fn render_prediction(
     circuit: &Circuit,
     preds: &[Option<f64>],
 ) -> Value {
-    match model {
-        ModelRef::Single(m) => {
-            let predictions: Vec<Value> = if m.target.on_nets() {
-                named_predictions(preds, circuit.nets().iter().map(|n| n.name.as_str()), "net")
-            } else {
-                named_predictions(
-                    preds,
-                    circuit.devices().iter().map(|d| d.name.as_str()),
-                    "device",
-                )
-            };
-            json!({
-                "model": key,
-                "target": m.target.name(),
-                "predictions": predictions,
-            })
-        }
-        ModelRef::Ensemble(e) => json!({
-            "model": key,
-            "target": "CAP",
-            "members": e.members().len(),
-            "predictions": named_predictions(
-                preds,
-                circuit.nets().iter().map(|n| n.name.as_str()),
-                "net",
-            ),
-        }),
+    let (target, on_nets, members) = match model {
+        ModelRef::Single(m) => (m.target.name(), m.target.on_nets(), None),
+        ModelRef::Ensemble(e) => (Target::Cap.name(), true, Some(e.members().len())),
+    };
+    let predictions = if on_nets {
+        named_predictions(preds, circuit.nets().iter().map(|n| n.name.as_str()), "net")
+    } else {
+        let devices = circuit.devices().iter().map(|d| d.name.as_str());
+        named_predictions(preds, devices, "device")
+    };
+    let mut result = json!({"model": key, "target": target});
+    if let Some(members) = members {
+        result["members"] = json!(members);
     }
+    result["predictions"] = Value::Array(predictions); // moved in: `json!` would copy it
+    result
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {

@@ -8,14 +8,15 @@ mod common;
 
 use std::io::Write;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{
     build_model_dir, direct_reference, predict_line, response_predictions, start_gateway,
     test_service_config, HttpClient, LineClient, NETLIST_A, NETLIST_B,
 };
 use paragraph_serve::{
-    Gateway, GatewayConfig, ModelRegistry, Service, ServiceConfig, Submitted, ENSEMBLE_KEY,
+    Gateway, GatewayConfig, ModelRegistry, PendingCall, Service, ServiceConfig, Submitted,
+    ENSEMBLE_KEY,
 };
 use serde_json::{json, Value};
 
@@ -241,10 +242,8 @@ fn wrong_method_is_405_unknown_route_404_unknown_model_404() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A linear chain of `devices` transistors: parses fine, but is big
-/// enough that one prediction occupies a worker for a while, holding
-/// the shedding window open. `tag` keeps instance names (and the cache
-/// key) unique per call.
+/// A linear chain of `devices` transistors. `tag` keeps instance names
+/// (and the cache key) unique per call.
 fn chain_netlist(tag: usize, devices: usize) -> String {
     let mut s = String::new();
     for i in 0..devices {
@@ -253,6 +252,59 @@ fn chain_netlist(tag: usize, devices: usize) -> String {
     }
     s.push_str(".end\n");
     s
+}
+
+/// Pause between submissions while a test fills a one-worker,
+/// one-slot queue, and the most submissions it makes before the
+/// service must have shed.
+const SUBMIT_PAUSE: Duration = Duration::from_millis(20);
+const MAX_SUBMITS: u32 = 10;
+
+/// Chain size whose lone predict on `service` outlasts the whole
+/// submit-and-sleep loop, so the first job still holds the worker while
+/// the queue fills and the shed requests arrive, however fast predicts
+/// are: doubles from 2,000 devices until one predict takes that long.
+fn saturating_chain_devices(service: &Service, tag: usize) -> usize {
+    let loop_time = SUBMIT_PAUSE * MAX_SUBMITS;
+    let mut devices = 2_000;
+    loop {
+        let line = predict_line(0, &chain_netlist(tag, devices), None);
+        let started = Instant::now();
+        let response = service.handle_line(&line);
+        let took = started.elapsed();
+        assert!(response.contains("\"ok\":true"), "{response:.300}");
+        if took > loop_time {
+            return devices;
+        }
+        assert!(
+            devices < 1 << 20,
+            "a {devices}-device predict took {took:?}, under {loop_time:?}"
+        );
+        devices *= 2;
+    }
+}
+
+/// Submits chains of `devices` until `service` sheds one; returns the
+/// pending jobs (the one on the worker and the queued one).
+fn fill_until_shed(service: &Service, tag: usize, devices: usize) -> Vec<PendingCall> {
+    let mut pending = Vec::new();
+    for k in 0..MAX_SUBMITS as usize {
+        let line = predict_line(100 + k as u64, &chain_netlist(tag + 1 + k, devices), None);
+        match service.submit_line(&line) {
+            Submitted::Pending(call) => pending.push(call),
+            Submitted::Done(envelope) => {
+                assert_eq!(
+                    envelope["error"]["code"].as_str(),
+                    Some("overloaded"),
+                    "{envelope:?}"
+                );
+                return pending;
+            }
+        }
+        // Give the worker a moment to pull the head job off the queue.
+        std::thread::sleep(SUBMIT_PAUSE);
+    }
+    panic!("service never shed under a full queue");
 }
 
 #[test]
@@ -278,26 +330,8 @@ fn load_shedding_yields_503_with_retry_after_and_structured_overloaded() {
 
     // Fill the shard through the service API until it sheds: at that
     // point the worker is grinding a slow job and the queue is full.
-    let mut pending = Vec::new();
-    let mut shed_directly = false;
-    for k in 0..10 {
-        let line = predict_line(100 + k, &chain_netlist(k as usize, 2_000), None);
-        match service.submit_line(&line) {
-            Submitted::Pending(call) => pending.push(call),
-            Submitted::Done(envelope) => {
-                assert_eq!(
-                    envelope["error"]["code"].as_str(),
-                    Some("overloaded"),
-                    "{envelope:?}"
-                );
-                shed_directly = true;
-                break;
-            }
-        }
-        // Give the worker a moment to pull the head job off the queue.
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(shed_directly, "service never shed under a full queue");
+    let devices = saturating_chain_devices(&service, 0);
+    let pending = fill_until_shed(&service, 0, devices);
 
     // An HTTP predict arriving now is shed with 503 + Retry-After...
     let mut http = HttpClient::connect(handle.addr());
@@ -674,21 +708,8 @@ fn debug_endpoints_respond_under_shedding() {
     let service: Arc<Service> = handle.services()[0].clone();
 
     // Saturate: one slow job on the worker, one in the queue.
-    let mut pending = Vec::new();
-    let mut shed = false;
-    for k in 0..10 {
-        let line = predict_line(700 + k, &chain_netlist(7_000 + k as usize, 2_000), None);
-        match service.submit_line(&line) {
-            Submitted::Pending(call) => pending.push(call),
-            Submitted::Done(envelope) => {
-                assert_eq!(envelope["error"]["code"].as_str(), Some("overloaded"));
-                shed = true;
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(shed, "service never shed under a full queue");
+    let devices = saturating_chain_devices(&service, 7_000);
+    let pending = fill_until_shed(&service, 7_000, devices);
 
     // An HTTP predict is shed 503 — and the debug surface still works.
     let mut c = HttpClient::connect(handle.addr());
