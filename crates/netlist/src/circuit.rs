@@ -550,6 +550,33 @@ impl Circuit {
             .collect();
     }
 
+    /// Whether copying the devices, terminal by terminal, into an empty
+    /// circuit of the same name would rebuild this circuit exactly: the
+    /// name index covers every net, each net has the class its name
+    /// implies, and the nets are all used and numbered in the order the
+    /// terminals first name them (as [`crate::parse_spice`] builds them).
+    pub(crate) fn is_rebuilt_by_copy(&self) -> bool {
+        if self.net_index.len() != self.nets.len()
+            || self
+                .nets
+                .iter()
+                .any(|n| n.class != classify_net_name(&n.name))
+        {
+            return false;
+        }
+        // Ids below `next` have all been seen, so a terminal on net
+        // `next` is its first use and one above it is out of order.
+        let mut next = 0;
+        for &(_, NetId(id)) in self.devices.iter().flat_map(|d| &d.conns) {
+            match (id as usize).cmp(&next) {
+                std::cmp::Ordering::Equal => next += 1,
+                std::cmp::Ordering::Greater => return false,
+                std::cmp::Ordering::Less => {}
+            }
+        }
+        next == self.nets.len()
+    }
+
     /// Iterator over signal nets only (the nets the paper predicts
     /// parasitics for).
     pub fn signal_nets(&self) -> impl Iterator<Item = (NetId, &Net)> {

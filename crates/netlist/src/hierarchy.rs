@@ -141,17 +141,28 @@ impl Netlist {
         self.subckts.push(subckt);
     }
 
-    /// Flattens the hierarchy into a single [`Circuit`].
+    /// Flattens the hierarchy into a single [`Circuit`], consuming the
+    /// netlist (clone it first to keep it).
     ///
     /// Internal nets are renamed `instance/net`; supply and ground nets keep
     /// their global names so rails merge across the hierarchy. Device names
     /// are prefixed the same way.
     ///
+    /// A top level that instantiates nothing is already its own flat
+    /// form when copying it would rebuild it exactly (always so for
+    /// [`crate::parse_spice`] output): it is then moved out rather than
+    /// copied device by device.
+    ///
     /// # Errors
     ///
     /// Returns a [`FlattenError`] for unknown subcircuits, port-count
     /// mismatches, or recursive hierarchies.
-    pub fn flatten(&self) -> Result<Circuit, FlattenError> {
+    pub fn flatten(mut self) -> Result<Circuit, FlattenError> {
+        if self.top.instances.is_empty() && self.top.circuit.is_rebuilt_by_copy() {
+            let mut flat = std::mem::take(&mut self.top.circuit);
+            flat.name = std::mem::take(&mut self.top.name);
+            return Ok(flat);
+        }
         let index: HashMap<&str, usize> = self
             .subckts
             .iter()

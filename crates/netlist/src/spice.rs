@@ -403,7 +403,7 @@ mp out in vdd vdd pch l=16n\n+ nfin=8 nf=4\n.end\n";
     #[test]
     fn roundtrip_preserves_flat_circuit() {
         let nl = parse_spice(INV_CHAIN).unwrap();
-        let flat1 = nl.flatten().unwrap();
+        let flat1 = nl.clone().flatten().unwrap();
         let text = write_spice(&nl);
         let flat2 = parse_spice(&text).unwrap().flatten().unwrap();
         assert_eq!(flat1.num_devices(), flat2.num_devices());

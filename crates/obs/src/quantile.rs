@@ -61,20 +61,29 @@ impl RollingQuantile {
     /// full. Non-finite values are ignored (they would poison every
     /// quantile in the window for `capacity` observations).
     pub fn observe(&self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
+        self.observe_all(std::iter::once(value));
+    }
+
+    /// [`Self::observe`] for each value in order, under one lock: the
+    /// window, `sum()` and `count()` end up exactly as after observing
+    /// the values one by one.
+    pub fn observe_all(&self, values: impl IntoIterator<Item = f64>) {
         let mut ring = lock(&self.window);
         let capacity = ring.buf.len();
-        let next = ring.next;
-        ring.buf[next] = value;
-        ring.next = (next + 1) % capacity;
-        if ring.filled < capacity {
-            ring.filled += 1;
+        let mut sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
+        let mut count = 0;
+        for value in values.into_iter().filter(|v| v.is_finite()) {
+            let next = ring.next;
+            ring.buf[next] = value;
+            ring.next = (next + 1) % capacity;
+            if ring.filled < capacity {
+                ring.filled += 1;
+            }
+            sum += value;
+            count += 1;
         }
-        let sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed)) + value;
         self.sum_bits.store(sum.to_bits(), Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(count, Ordering::Relaxed);
     }
 
     /// Exact nearest-rank quantile over the current window: the value at
@@ -235,6 +244,39 @@ mod tests {
         assert_eq!(rq.window_len(), 1);
         assert_eq!(rq.quantile(0.99), 1.0);
         assert_eq!(rq.count(), 1);
+    }
+
+    /// Observing a sequence in one locked pass leaves the state that
+    /// observing its values one at a time leaves, bit for bit: ring
+    /// contents and order, lifetime sum and count, with non-finite
+    /// values skipped.
+    #[test]
+    fn observe_all_matches_one_at_a_time() {
+        let mut rng = Lcg(0x0b5e_77a1);
+        let mut stream: Vec<f64> = (0..37).map(|_| rng.next_f64() * 3.0 - 1.0).collect();
+        stream[3] = f64::NAN;
+        stream[11] = f64::INFINITY;
+        stream[20] = f64::NEG_INFINITY;
+        let (one, all) = (RollingQuantile::new(16), RollingQuantile::new(16));
+        one.observe(0.25);
+        all.observe(0.25);
+        for &v in &stream {
+            one.observe(v);
+        }
+        all.observe_all(stream.iter().copied());
+        let ring = |rq: &RollingQuantile| {
+            let r = lock(&rq.window);
+            (r.buf.clone(), r.next, r.filled)
+        };
+        let ((buf_one, next_one, filled_one), (buf_all, next_all, filled_all)) =
+            (ring(&one), ring(&all));
+        assert_eq!((next_all, filled_all), (next_one, filled_one));
+        let bits = |buf: &[f64]| buf.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&buf_all), bits(&buf_one));
+        assert_eq!(all.sum().to_bits(), one.sum().to_bits());
+        assert_eq!(all.count(), 35, "three non-finite values skipped");
+        assert_eq!(all.count(), one.count());
+        assert_eq!(all.window_mean().to_bits(), one.window_mean().to_bits());
     }
 
     #[test]

@@ -61,6 +61,48 @@ impl Default for DriftConfig {
     }
 }
 
+/// One request's raw feature rows stored flat, in the order
+/// [`paragraph::raw_feature_rows`] lists them: node type `t`'s rows are
+/// consecutive in one buffer, all of one width. The exact-repeat index
+/// keeps these per deck text, so a repeat feeds the drift windows
+/// without parsing.
+#[derive(Debug, Default)]
+pub(crate) struct FeatureRows {
+    values: Vec<f32>,
+    /// Per node type: `(end of its rows in values, row width)`.
+    types: Vec<(usize, usize)>,
+}
+
+impl FeatureRows {
+    /// Flattens `[type][row][feature]` rows.
+    ///
+    /// # Panics
+    ///
+    /// If the rows of one type differ in width.
+    pub(crate) fn new(rows: &[Vec<Vec<f32>>]) -> Self {
+        let total = rows.iter().flatten().map(Vec::len).sum();
+        let mut values = Vec::with_capacity(total);
+        let mut types = Vec::with_capacity(rows.len());
+        for type_rows in rows {
+            let width = type_rows.first().map_or(0, Vec::len);
+            for row in type_rows {
+                assert_eq!(row.len(), width, "feature rows of one type share a width");
+                values.extend_from_slice(row);
+            }
+            types.push((values.len(), width));
+        }
+        Self { values, types }
+    }
+
+    /// Each node type's rows as `(row-major values, row width)`.
+    fn types(&self) -> impl Iterator<Item = (&[f32], usize)> {
+        let starts = std::iter::once(0).chain(self.types.iter().map(|&(end, _)| end));
+        starts
+            .zip(&self.types)
+            .map(|(start, &(end, width))| (&self.values[start..end], width))
+    }
+}
+
 /// Per-baseline state; rebuilt whenever the registry (re)loads.
 #[derive(Debug)]
 struct DriftState {
@@ -142,26 +184,31 @@ impl DriftMonitor {
     /// whether any value was out of the training distribution. A no-op
     /// returning `false` when no baseline is installed.
     pub fn observe(&self, rows: &[Vec<Vec<f32>>]) -> bool {
+        self.observe_rows(&FeatureRows::new(rows))
+    }
+
+    /// [`DriftMonitor::observe`] over rows already stored flat. Each
+    /// window takes the request's values in row order under one lock.
+    pub(crate) fn observe_rows(&self, rows: &FeatureRows) -> bool {
         let mut guard = lock(&self.state);
         let Some(state) = guard.as_mut() else {
             return false;
         };
         let mut ood = false;
-        for (t, type_rows) in rows.iter().enumerate() {
+        for (t, (values, width)) in rows.types().enumerate() {
             if t >= state.windows.len() || state.baseline.rows.get(t).copied().unwrap_or(0) == 0 {
                 continue; // node type unseen in training: nothing to judge against
             }
             let (means, stds) = (&state.baseline.mean[t], &state.baseline.std[t]);
             let (mins, maxs) = (&state.baseline.min[t], &state.baseline.max[t]);
-            for row in type_rows {
-                for (f, &v) in row.iter().enumerate().take(state.windows[t].len()) {
-                    let v = v as f64;
-                    state.windows[t][f].observe(v);
-                    let slack = self.config.ood_sigma * stds[f].max(STD_FLOOR);
-                    if v < mins[f] - slack || v > maxs[f] + slack {
-                        ood = true;
-                    }
-                }
+            for (f, window) in state.windows[t].iter().enumerate().take(width) {
+                let slack = self.config.ood_sigma * stds[f].max(STD_FLOOR);
+                let (lo, hi) = (mins[f] - slack, maxs[f] + slack);
+                window.observe_all(values.iter().skip(f).step_by(width).map(|&v| {
+                    let v = f64::from(v);
+                    ood |= v < lo || v > hi;
+                    v
+                }));
             }
             for (f, window) in state.windows[t].iter().enumerate() {
                 let wm = window.window_mean();

@@ -25,8 +25,8 @@ use paragraph_netlist::{erc_check, parse_spice, write_flat_spice, Circuit};
 use paragraph_obs::{Counter, RequestRecord, SpanContext, Stage, Stages};
 use serde_json::{json, Value};
 
-use crate::cache::{fnv1a, PredictionCache};
-use crate::drift::{baseline_from_snapshot, DriftConfig, DriftMonitor};
+use crate::cache::{fnv1a, text_hash, PredictionCache};
+use crate::drift::{baseline_from_snapshot, DriftConfig, DriftMonitor, FeatureRows};
 use crate::metrics::Metrics;
 use crate::protocol::{
     error_response, malformed_json, ok_response, ErrorCode, Op, Request, ServeError,
@@ -887,6 +887,26 @@ fn predict_many(
     for (mut job, mut stages) in jobs {
         let ctx_guard = job.ctx.as_ref().map(SpanContext::enter);
         let lookup_started = Instant::now();
+        let resolved = snapshot.resolve(job.request.model.as_deref());
+        // An exact repeat answers from the index without a parse. Only a
+        // resolved model can have recorded one; anything else takes the
+        // full path below, which reports a bad netlist before an unknown
+        // model.
+        let text_key = match (&resolved, job.request.netlist.as_deref()) {
+            (Ok((key, _)), Some(text)) => {
+                let hash = text_hash(text);
+                if let Some(repeat) = cache.get_repeat(key, hash, text) {
+                    let ood = drift.observe_rows(&repeat.rows);
+                    let key = resolved.map(|(key, _)| key).expect("matched Ok");
+                    stages.set(Stage::CacheLookup, lookup_us(lookup_started));
+                    drop(ctx_guard);
+                    answer_hit(job, stages, key, ood, &repeat.value);
+                    continue;
+                }
+                Some(hash)
+            }
+            _ => None,
+        };
         let circuit = match required_netlist(&job.request) {
             Ok(c) => c,
             Err(err) => {
@@ -895,12 +915,14 @@ fn predict_many(
                 continue;
             }
         };
-        // Every parsed circuit feeds the drift windows, cache hit or
-        // not: the monitor watches traffic, not model invocations. The
-        // per-request verdict rides along so the tail sampler can
-        // retain OOD requests.
-        let ood = drift.observe(&paragraph::raw_feature_rows(&circuit));
-        let (key, model) = match snapshot.resolve(job.request.model.as_deref()) {
+        // Every parsed circuit feeds the drift windows, canonical hit or
+        // not (an exact repeat fed its stored rows above): the monitor
+        // watches traffic, not model invocations. The per-request
+        // verdict rides along so the tail sampler can retain OOD
+        // requests.
+        let rows = Arc::new(FeatureRows::new(&paragraph::raw_feature_rows(&circuit)));
+        let ood = drift.observe_rows(&rows);
+        let (key, model) = match resolved {
             Ok(resolved) => resolved,
             Err(m) => {
                 let err = ServeError::new(ErrorCode::UnknownModel, m);
@@ -911,18 +933,13 @@ fn predict_many(
         };
         let content_hash = fnv1a(&write_flat_spice(&circuit));
         let hit = cache.get(&key, content_hash);
-        let lookup_done = Instant::now();
-        paragraph_obs::record_span_at("cache_lookup", lookup_started, lookup_done);
+        if let (Some(hash), Some(text)) = (text_key, job.request.netlist.take()) {
+            cache.put_repeat(&key, hash, text, content_hash, rows);
+        }
+        stages.set(Stage::CacheLookup, lookup_us(lookup_started));
         drop(ctx_guard);
-        let lookup_us = lookup_done.duration_since(lookup_started).as_secs_f64() * 1e6;
-        stages.set(Stage::CacheLookup, lookup_us);
         if let Some(hit) = hit {
-            job.record.stages = stages;
-            job.record.model = Some(key);
-            job.record.cache_hit = Some(true);
-            job.record.ood = Some(ood);
-            let response = ok_response(&job.request.id, (*hit).clone(), Some(true));
-            job.answer(response);
+            answer_hit(job, stages, key, ood, &hit);
             continue;
         }
         groups
@@ -1013,6 +1030,24 @@ fn predict_many(
             }
         }
     }
+}
+
+/// Closes the `cache_lookup` span opened at `started` and returns its
+/// length in microseconds.
+fn lookup_us(started: Instant) -> f64 {
+    let done = Instant::now();
+    paragraph_obs::record_span_at("cache_lookup", started, done);
+    done.duration_since(started).as_secs_f64() * 1e6
+}
+
+/// Answers a predict from a cached payload.
+fn answer_hit(mut job: Job, stages: Stages, key: String, ood: bool, hit: &Value) {
+    job.record.stages = stages;
+    job.record.model = Some(key);
+    job.record.cache_hit = Some(true);
+    job.record.ood = Some(ood);
+    let response = ok_response(&job.request.id, hit.clone(), Some(true));
+    job.answer(response);
 }
 
 /// The predict response body for one circuit's predictions — shared by

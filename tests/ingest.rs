@@ -256,3 +256,56 @@ fn net_features_match_the_per_net_fanout_scan() {
     assert_fanout_features(&rails);
     assert_fanout_features(&Circuit::new("empty"));
 }
+
+/// Name, nets (in order, with classes) and `write_flat_spice` text.
+fn flat_form(c: &Circuit) -> (String, Vec<(String, NetClass)>, String) {
+    let nets = c.nets().iter().map(|n| (n.name.clone(), n.class)).collect();
+    (c.name.clone(), nets, write_flat_spice(c))
+}
+
+/// `flatten` moves a top level without instances out of the netlist.
+/// It must equal the device-by-device copy, which flatten makes when the
+/// top instantiates something: here an empty, port-less subcircuit that
+/// adds nothing.
+#[test]
+fn flatten_moves_a_flat_top_as_it_would_copy_it() {
+    let mut decks: Vec<String> = family_chips().iter().map(write_flat_spice).collect();
+    decks.push(
+        ".subckt unused a b\nmx a b vss vss nch\n.ends\nmp o i vdd vdd pch\nmn o i vss vss nch\n"
+            .to_owned(),
+    );
+    decks.push(String::new());
+    for deck in &decks {
+        let netlist = parse_spice(deck).unwrap();
+        let kept = netlist.clone();
+        let devices = kept.top.circuit.devices().as_ptr();
+        let moved = kept.flatten().unwrap();
+        assert_eq!(moved.devices().as_ptr(), devices, "moved, not copied");
+        let mut forced = netlist;
+        forced.add_subckt(Subckt {
+            name: "empty".into(),
+            ports: vec![],
+            circuit: Circuit::new("empty"),
+            instances: vec![],
+        });
+        forced.top.instances.push(Instance {
+            name: "xe".into(),
+            subckt: "empty".into(),
+            conns: vec![],
+        });
+        let copied = forced.flatten().unwrap();
+        assert_eq!(flat_form(&moved), flat_form(&copied), "{deck:.60}");
+        for net in moved.nets() {
+            assert!(moved.find_net(&net.name).is_some(), "{}", net.name);
+        }
+    }
+    // A hand-built top whose nets are not numbered in first-use order
+    // (or not all used) is copied, so it flattens as before.
+    let mut netlist = Netlist::new("hand");
+    let top = &mut netlist.top.circuit;
+    let (a, b, _unused) = (top.net("a"), top.net("b"), top.net("unused"));
+    top.add_resistor("r1", b, a, 1e3, 1e-6);
+    let flat = netlist.flatten().unwrap();
+    let names: Vec<&str> = flat.nets().iter().map(|n| n.name.as_str()).collect();
+    assert_eq!(names, ["b", "a"]);
+}
