@@ -282,7 +282,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

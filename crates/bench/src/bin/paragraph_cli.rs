@@ -25,7 +25,7 @@
 //! Each subcommand accepts only the flags it reads; any other flag is
 //! an error.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use paragraph::{
     build_graph, fit_norm, normalize_circuits, FitConfig, GnnKind, PreparedCircuit, SavedModel,
@@ -271,6 +271,10 @@ fn train(flags: &Flags) {
     let target = parse_target(flags.get("target").unwrap_or("CAP"));
     let kind = parse_kind(flags.get("kind").unwrap_or("ParaGraph"));
     let model_path = PathBuf::from(flags.get("model").unwrap_or("model.json"));
+    if let Err(e) = prepare_model_path(&model_path) {
+        eprintln!("{e}");
+        std::process::exit(1)
+    }
     let (train_set, norm) =
         build_training_set(flags.f64_or("scale", 0.25), flags.u64_or("seed", 2020));
     let mut fit = FitConfig::new(kind);
@@ -282,8 +286,21 @@ fn train(flags: &Flags) {
     );
     let (model, loss) = TargetModel::train(&train_set, target, None, fit, &norm);
     eprintln!("final loss {loss:.5}");
-    std::fs::write(&model_path, SavedModel::from_model(&model).to_json()).expect("write model");
+    std::fs::write(&model_path, SavedModel::from_model(&model).to_json()).unwrap_or_else(|e| {
+        eprintln!("cannot write model to {}: {e}", model_path.display());
+        std::process::exit(1)
+    });
     println!("model saved to {}", model_path.display());
+}
+
+/// Creates the directory the model will be saved in, before a training
+/// run that could otherwise end with nowhere to write its result.
+fn prepare_model_path(path: &Path) -> Result<(), String> {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot write model to {}: {e}", path.display())),
+        _ => Ok(()),
+    }
 }
 
 fn load_netlist(path: &str) -> paragraph_netlist::Circuit {
@@ -586,5 +603,21 @@ mod tests {
         assert!(Flags::parse(&args(&["--netlist"]), known_flags("erc").unwrap()).is_err());
         assert!(Flags::parse(&args(&["netlist", "x"]), known_flags("erc").unwrap()).is_err());
         assert!(known_flags("frobnicate").is_none());
+    }
+
+    #[test]
+    fn model_directory_is_made_before_training() {
+        let root = std::env::temp_dir().join(format!("paragraph-cli-model-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        prepare_model_path(&root.join("a/b/x.json")).unwrap();
+        assert!(root.join("a/b").is_dir());
+        prepare_model_path(Path::new("x.json")).expect("a bare file name needs no directory");
+        // A file in the way of the directory is reported, not a panic.
+        std::fs::write(root.join("file"), "").unwrap();
+        let blocked = root.join("file/x.json");
+        let err = prepare_model_path(&blocked).unwrap_err();
+        let prefix = format!("cannot write model to {}: ", blocked.display());
+        assert!(err.starts_with(&prefix), "{err}");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

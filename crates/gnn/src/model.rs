@@ -125,9 +125,10 @@ pub(crate) struct LayerParams {
 /// Read-only view of one message-passing layer's resolved parameter
 /// tensors, as walked by the compiled inference executor.
 ///
-/// Which fields are populated depends on [`GnnKind`], mirroring
-/// [`LayerParams`]: `w_type`/`a_type` for per-edge-type (or per-head)
-/// weights, `w` for the shared weight, `w_self` for RGCN's self loop.
+/// Which fields are populated depends on [`GnnKind`], mirroring the
+/// model's own per-layer parameters: `w_type`/`a_type` for per-edge-type
+/// (or per-head) weights, `w` for the shared weight, `w_self` for RGCN's
+/// self loop.
 #[derive(Debug)]
 pub struct LayerSpec<'a> {
     /// Per-edge-type (ParaGraph, RGCN) or per-head (GAT) weight matrices.

@@ -26,7 +26,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::trace::{epoch, epoch_unix_nanos, json_string, lock};
+use crate::trace::{epoch, epoch_unix_nanos, lock, JsonStr};
 
 /// Default bound on buffered (not yet drained) event lines.
 pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
@@ -169,14 +169,14 @@ impl Event {
     fn open(kind: &str) -> Self {
         let ts_us = epoch().elapsed().as_secs_f64() * 1e6;
         let mut buf = String::with_capacity(96);
-        let _ = write!(buf, "{{\"ts_us\":{ts_us:.3},\"kind\":{}", json_string(kind));
+        let _ = write!(buf, "{{\"ts_us\":{ts_us:.3},\"kind\":{}", JsonStr(kind));
         Self { buf: Some(buf) }
     }
 
     /// Adds a string field.
     pub fn str_field(mut self, key: &str, value: &str) -> Self {
         if let Some(buf) = &mut self.buf {
-            let _ = write!(buf, ",{}:{}", json_string(key), json_string(value));
+            let _ = write!(buf, ",{}:{}", JsonStr(key), JsonStr(value));
         }
         self
     }
@@ -184,7 +184,7 @@ impl Event {
     /// Adds an unsigned integer field.
     pub fn u64_field(mut self, key: &str, value: u64) -> Self {
         if let Some(buf) = &mut self.buf {
-            let _ = write!(buf, ",{}:{value}", json_string(key));
+            let _ = write!(buf, ",{}:{value}", JsonStr(key));
         }
         self
     }
@@ -193,9 +193,9 @@ impl Event {
     pub fn f64_field(mut self, key: &str, value: f64) -> Self {
         if let Some(buf) = &mut self.buf {
             if value.is_finite() {
-                let _ = write!(buf, ",{}:{value}", json_string(key));
+                let _ = write!(buf, ",{}:{value}", JsonStr(key));
             } else {
-                let _ = write!(buf, ",{}:null", json_string(key));
+                let _ = write!(buf, ",{}:null", JsonStr(key));
             }
         }
         self
@@ -204,7 +204,7 @@ impl Event {
     /// Adds a boolean field.
     pub fn bool_field(mut self, key: &str, value: bool) -> Self {
         if let Some(buf) = &mut self.buf {
-            let _ = write!(buf, ",{}:{value}", json_string(key));
+            let _ = write!(buf, ",{}:{value}", JsonStr(key));
         }
         self
     }
@@ -213,7 +213,7 @@ impl Event {
     /// array built by the caller). The caller guarantees validity.
     pub fn raw_field(mut self, key: &str, json: &str) -> Self {
         if let Some(buf) = &mut self.buf {
-            let _ = write!(buf, ",{}:{json}", json_string(key));
+            let _ = write!(buf, ",{}:{json}", JsonStr(key));
         }
         self
     }
@@ -323,7 +323,7 @@ mod tests {
         let _ = take_event_lines();
         Event::new("request")
             .str_field("id", "req-1")
-            .str_field("tricky", "a\"b\\c\nd")
+            .str_field("tricky", "a\"b\\c\nd\t\r\u{1}é")
             .u64_field("n", 42)
             .f64_field("lat_us", 12.5)
             .f64_field("nan", f64::NAN)
@@ -338,7 +338,10 @@ mod tests {
         assert!(line.ends_with('}'), "{line}");
         assert!(line.contains("\"kind\":\"request\""), "{line}");
         assert!(line.contains("\"id\":\"req-1\""), "{line}");
-        assert!(line.contains("\"tricky\":\"a\\\"b\\\\c\\nd\""), "{line}");
+        assert!(
+            line.contains("\"tricky\":\"a\\\"b\\\\c\\nd\\t\\r\\u0001é\""),
+            "{line}"
+        );
         assert!(line.contains("\"n\":42"), "{line}");
         assert!(line.contains("\"lat_us\":12.5"), "{line}");
         assert!(line.contains("\"nan\":null"), "{line}");

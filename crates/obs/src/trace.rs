@@ -510,36 +510,38 @@ fn render_event(out: &mut String, e: &TraceEvent) {
     let _ = write!(
         out,
         "{{\"name\":{},\"ph\":\"X\",\"cat\":\"paragraph\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{\"depth\":{}",
-        json_string(e.name),
+        JsonStr(e.name),
         e.ts_us,
         e.dur_us,
         e.tid,
         e.depth
     );
     for (k, v) in e.args() {
-        let _ = write!(out, ",{}:{}", json_string(k), json_string(&v.to_string()));
+        let _ = write!(out, ",{}:{}", JsonStr(k), JsonStr(&v.to_string()));
     }
     out.push_str("}}");
 }
 
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// A string formatted as a JSON string literal, escaped as it is
+/// written, so rendering into a buffer allocates nothing.
+pub(crate) struct JsonStr<'a>(pub(crate) &'a str);
+
+impl std::fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\t' => f.write_str("\\t")?,
+                '\r' => f.write_str("\\r")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
             }
-            c => out.push(c),
         }
+        f.write_char('"')
     }
-    out.push('"');
-    out
 }
 
 /// Serialises tests (here and in `store.rs`) that toggle the

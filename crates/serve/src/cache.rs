@@ -5,8 +5,9 @@
 //! Keying on the *flattened* SPICE text means two textually different
 //! decks that flatten to the same circuit (comments, blank lines,
 //! hierarchy spelled differently) share one entry, while any electrical
-//! change produces a new key. Cached values are the exact `result`
-//! payloads served on the uncached path, so hits are bit-identical.
+//! change produces a new key. Cached values are the `result` payloads
+//! served on the uncached path, stored as the JSON text they rendered
+//! to, so a hit shares that text and its bytes are the miss's bytes.
 //!
 //! Computing that key takes a parse, a flatten and a `write_flat_spice`.
 //! The exact-repeat index skips all three for a deck sent before byte
@@ -18,8 +19,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use serde_json::Value;
 
 use crate::drift::FeatureRows;
 
@@ -66,7 +65,7 @@ struct Sighting {
 /// An exact repeat's answer: the canonical entry's payload and the
 /// deck's own feature rows.
 pub(crate) struct Repeat {
-    pub(crate) value: Arc<Value>,
+    pub(crate) value: Arc<str>,
     pub(crate) rows: Arc<FeatureRows>,
 }
 
@@ -151,7 +150,7 @@ impl<V> Lru<V> {
 
 #[derive(Debug, Default)]
 struct Inner {
-    results: Lru<Arc<Value>>,
+    results: Lru<Arc<str>>,
     repeats: Lru<Sighting>,
     tick: u64,
 }
@@ -163,8 +162,8 @@ impl Inner {
     }
 }
 
-/// Bounded LRU cache of prediction payloads, with the exact-repeat
-/// index in front of it.
+/// Bounded LRU cache of prediction payloads (rendered JSON text), with
+/// the exact-repeat index in front of it.
 #[derive(Debug)]
 pub struct PredictionCache {
     inner: Mutex<Inner>,
@@ -191,7 +190,7 @@ impl PredictionCache {
     }
 
     /// Looks up a payload, counting a hit or miss.
-    pub fn get(&self, model: &str, netlist_hash: u64) -> Option<Arc<Value>> {
+    pub fn get(&self, model: &str, netlist_hash: u64) -> Option<Arc<str>> {
         let mut inner = self.lock();
         let tick = inner.next_tick();
         let value = inner.results.get(model, netlist_hash, tick).cloned();
@@ -207,7 +206,7 @@ impl PredictionCache {
 
     /// Stores a payload, evicting the least-recently-used entry when at
     /// capacity.
-    pub fn put(&self, model: &str, netlist_hash: u64, value: Arc<Value>) {
+    pub fn put(&self, model: &str, netlist_hash: u64, value: Arc<str>) {
         if self.capacity == 0 {
             return;
         }
@@ -306,15 +305,18 @@ impl PredictionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
+
+    fn payload(v: impl std::fmt::Display) -> Arc<str> {
+        v.to_string().into()
+    }
 
     #[test]
     fn hit_and_miss_accounting() {
         let cache = PredictionCache::new(4);
         assert!(cache.get("m", 1).is_none());
-        cache.put("m", 1, Arc::new(json!({"v": 1})));
+        cache.put("m", 1, payload("{\"v\":1}"));
         let hit = cache.get("m", 1).unwrap();
-        assert_eq!(hit["v"].as_u64(), Some(1));
+        assert_eq!(&*hit, "{\"v\":1}");
         assert!(
             cache.get("other", 1).is_none(),
             "model key is part of the key"
@@ -327,10 +329,10 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let cache = PredictionCache::new(2);
-        cache.put("m", 1, Arc::new(json!(1)));
-        cache.put("m", 2, Arc::new(json!(2)));
+        cache.put("m", 1, payload(1));
+        cache.put("m", 2, payload(2));
         assert!(cache.get("m", 1).is_some()); // 1 is now fresher than 2
-        cache.put("m", 3, Arc::new(json!(3)));
+        cache.put("m", 3, payload(3));
         assert_eq!(cache.len(), 2);
         assert!(cache.get("m", 2).is_none(), "2 was LRU");
         assert!(cache.get("m", 1).is_some());
@@ -340,7 +342,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_storage() {
         let cache = PredictionCache::new(0);
-        cache.put("m", 1, Arc::new(json!(1)));
+        cache.put("m", 1, payload(1));
         assert!(cache.get("m", 1).is_none());
         assert!(cache.is_empty());
     }
@@ -354,18 +356,18 @@ mod tests {
     #[test]
     fn capacity_one_keeps_only_latest() {
         let cache = PredictionCache::new(1);
-        cache.put("m", 1, Arc::new(json!(1)));
-        cache.put("m", 2, Arc::new(json!(2)));
+        cache.put("m", 1, payload(1));
+        cache.put("m", 2, payload(2));
         assert_eq!(cache.len(), 1);
         assert!(cache.get("m", 1).is_none(), "1 was evicted by 2");
-        assert_eq!(cache.get("m", 2).unwrap().as_u64(), Some(2));
+        assert_eq!(&*cache.get("m", 2).unwrap(), "2");
     }
 
     #[test]
     fn zero_capacity_never_evicts_or_stores() {
         let cache = PredictionCache::new(0);
         for k in 0..10 {
-            cache.put("m", k, Arc::new(json!(k)));
+            cache.put("m", k, payload(k));
             assert!(cache.get("m", k).is_none());
         }
         assert!(cache.is_empty());
@@ -378,15 +380,15 @@ mod tests {
     #[test]
     fn eviction_order_tracks_recency_not_insertion() {
         let cache = PredictionCache::new(3);
-        cache.put("m", 1, Arc::new(json!(1)));
-        cache.put("m", 2, Arc::new(json!(2)));
-        cache.put("m", 3, Arc::new(json!(3)));
+        cache.put("m", 1, payload(1));
+        cache.put("m", 2, payload(2));
+        cache.put("m", 3, payload(3));
         // Touch in order 2, 1 — recency (oldest first) is now 3, 2, 1.
         assert!(cache.get("m", 2).is_some());
         assert!(cache.get("m", 1).is_some());
-        cache.put("m", 4, Arc::new(json!(4))); // evicts 3
+        cache.put("m", 4, payload(4)); // evicts 3
         assert!(cache.get("m", 3).is_none(), "3 was least recent");
-        cache.put("m", 5, Arc::new(json!(5))); // evicts 2
+        cache.put("m", 5, payload(5)); // evicts 2
         assert!(cache.get("m", 2).is_none(), "2 was least recent");
         assert!(cache.get("m", 1).is_some());
         assert!(cache.get("m", 4).is_some());
@@ -398,11 +400,11 @@ mod tests {
     #[test]
     fn put_of_existing_key_does_not_evict() {
         let cache = PredictionCache::new(2);
-        cache.put("m", 1, Arc::new(json!(1)));
-        cache.put("m", 2, Arc::new(json!(2)));
-        cache.put("m", 1, Arc::new(json!(10)));
+        cache.put("m", 1, payload(1));
+        cache.put("m", 2, payload(2));
+        cache.put("m", 1, payload(10));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get("m", 1).unwrap().as_u64(), Some(10));
+        assert_eq!(&*cache.get("m", 1).unwrap(), "10");
         assert!(cache.get("m", 2).is_some(), "2 must survive the re-put");
     }
 
@@ -436,9 +438,9 @@ mod tests {
         assert!(cache.get_repeat("m", h, text).is_none(), "nothing recorded");
         cache.put_repeat("m", h, text.to_owned(), 7, rows());
         assert!(cache.get_repeat("m", h, text).is_none(), "no payload yet");
-        cache.put("m", 7, Arc::new(json!({"v": 7})));
+        cache.put("m", 7, payload("{\"v\":7}"));
         let repeat = cache.get_repeat("m", h, text).expect("exact repeat");
-        assert_eq!(repeat.value["v"].as_u64(), Some(7));
+        assert_eq!(&*repeat.value, "{\"v\":7}");
         assert!(cache.get_repeat("other", h, text).is_none(), "model key");
         // Same hash, other bytes: a collision must not answer.
         assert!(cache.get_repeat("m", h, "mn o i vss vss nch\n").is_none());
@@ -451,7 +453,7 @@ mod tests {
     #[test]
     fn repeat_index_is_bounded_cleared_and_disabled_at_zero() {
         let cache = PredictionCache::new(2);
-        cache.put("m", 0, Arc::new(json!(0)));
+        cache.put("m", 0, payload(0));
         for k in 0..3_u64 {
             cache.put_repeat("m", k, format!("deck {k}"), 0, rows());
         }
@@ -463,7 +465,7 @@ mod tests {
         assert_eq!(cache.lock().repeats.len, 0);
 
         let off = PredictionCache::new(0);
-        off.put("m", 0, Arc::new(json!(0)));
+        off.put("m", 0, payload(0));
         off.put_repeat("m", 0, "deck".to_owned(), 0, rows());
         assert!(off.get_repeat("m", 0, "deck").is_none());
         assert_eq!(off.lock().repeats.len, 0);
@@ -477,7 +479,7 @@ mod tests {
         let cache = PredictionCache::new(2);
         let mut lookups = 0_u64;
         for k in 0..6 {
-            cache.put("m", k, Arc::new(json!(k)));
+            cache.put("m", k, payload(k));
             // Current key always hits; key-2 has been evicted.
             assert!(cache.get("m", k).is_some());
             lookups += 1;

@@ -20,7 +20,7 @@ use serde_json::Value;
 
 use super::http::{self, HttpParse};
 use super::ShardCtx;
-use crate::protocol::{error_response, ErrorCode, Op, Request, ServeError};
+use crate::protocol::{error_response, Envelope, ErrorCode, Op, Request, ServeError};
 use crate::service::PendingCall;
 use crate::service::Submitted;
 
@@ -103,7 +103,7 @@ impl Conn {
         if let Some((call, kind)) = self.inflight.take() {
             match ctx.service.poll(call) {
                 Ok(envelope) => {
-                    self.encode_envelope(&envelope, kind);
+                    self.encode_envelope(envelope, kind);
                     active = true;
                 }
                 Err(call) => self.inflight = Some((call, kind)),
@@ -160,7 +160,7 @@ impl Conn {
         let stalled = now.duration_since(self.last_activity);
         if self.inflight.is_none() && !self.buf.is_empty() && stalled >= ctx.config.read_deadline {
             match self.proto {
-                Proto::JsonLines => self.push_json_line(&error_response(
+                Proto::JsonLines => self.push_json_line(error_response(
                     &Value::Null,
                     &ServeError::new(
                         ErrorCode::DeadlineExceeded,
@@ -238,7 +238,7 @@ impl Conn {
                 Proto::JsonLines => {
                     let Some(nl) = self.buf.iter().position(|&b| b == b'\n') else {
                         if self.buf.len() > ctx.config.max_line {
-                            self.push_json_line(&error_response(
+                            self.push_json_line(error_response(
                                 &Value::Null,
                                 &ServeError::new(
                                     ErrorCode::BadRequest,
@@ -269,7 +269,7 @@ impl Conn {
                     }
                     match ctx.service.submit_line(text) {
                         Submitted::Done(envelope) => {
-                            self.push_json_line(&envelope);
+                            self.push_json_line(envelope);
                             *active = true;
                         }
                         Submitted::Pending(call) => {
@@ -486,7 +486,7 @@ impl Conn {
         };
         match submitted {
             Submitted::Done(envelope) => {
-                self.encode_envelope(&envelope, RespKind::Http { keep_alive })
+                self.encode_envelope(envelope, RespKind::Http { keep_alive })
             }
             Submitted::Pending(call) => {
                 self.inflight = Some((call, RespKind::Http { keep_alive }));
@@ -495,22 +495,21 @@ impl Conn {
     }
 
     /// Encodes a resolved response envelope for its protocol.
-    fn encode_envelope(&mut self, envelope: &Value, kind: RespKind) {
+    fn encode_envelope(&mut self, envelope: impl Into<Envelope>, kind: RespKind) {
+        let envelope = envelope.into();
         match kind {
             RespKind::JsonLine => self.push_json_line(envelope),
             RespKind::Http { keep_alive } => {
-                let (status, reason, extra) = envelope_status(envelope);
-                let body = serde_json::to_string(envelope)
-                    .expect("envelope serialises")
-                    .into_bytes();
+                let (status, reason, extra) = envelope_status(&envelope);
+                let body = envelope.render().into_bytes();
                 self.push_http(status, reason, "application/json", &body, keep_alive, extra);
             }
         }
     }
 
-    fn push_json_line(&mut self, envelope: &Value) {
-        let line = serde_json::to_string(envelope).expect("envelope serialises");
-        self.out.extend_from_slice(line.as_bytes());
+    fn push_json_line(&mut self, envelope: impl Into<Envelope>) {
+        self.out
+            .extend_from_slice(envelope.into().render().as_bytes());
         self.out.push(b'\n');
     }
 
@@ -551,7 +550,10 @@ fn control_request(op: Op) -> Request {
 
 /// Maps a response envelope onto an HTTP status line, with
 /// `Retry-After` on shedding.
-fn envelope_status(envelope: &Value) -> (u16, &'static str, &'static [&'static str]) {
+fn envelope_status(envelope: &Envelope) -> (u16, &'static str, &'static [&'static str]) {
+    let Envelope::Value(envelope) = envelope else {
+        return (200, "OK", &[]); // a predict answer
+    };
     if envelope["ok"].as_bool() == Some(true) {
         return (200, "OK", &[]);
     }
@@ -567,12 +569,15 @@ fn envelope_status(envelope: &Value) -> (u16, &'static str, &'static [&'static s
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::PredictEnvelope;
     use serde_json::json;
 
     #[test]
     fn status_mapping_covers_every_error_code() {
         let ok = json!({"ok": true});
-        assert_eq!(envelope_status(&ok).0, 200);
+        assert_eq!(envelope_status(&ok.into()).0, 200);
+        let predict = PredictEnvelope::hit(Value::Null, "{}".into());
+        assert_eq!(envelope_status(&Envelope::Predict(predict)).0, 200);
         for (code, status) in [
             ("bad_request", 400),
             ("invalid_netlist", 400),
@@ -582,10 +587,10 @@ mod tests {
             ("internal", 500),
         ] {
             let envelope = json!({"ok": false, "error": {"code": code, "message": "m"}});
-            assert_eq!(envelope_status(&envelope).0, status, "{code}");
+            assert_eq!(envelope_status(&envelope.into()).0, status, "{code}");
         }
-        let (status, _, extra) =
-            envelope_status(&json!({"ok": false, "error": {"code": "overloaded", "message": "m"}}));
+        let overloaded = json!({"ok": false, "error": {"code": "overloaded", "message": "m"}});
+        let (status, _, extra) = envelope_status(&overloaded.into());
         assert_eq!(status, 503);
         assert_eq!(extra, ["Retry-After: 1"]);
     }

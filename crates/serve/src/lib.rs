@@ -15,7 +15,8 @@
 //!   behind a bounded queue: backpressure via `overloaded` rejections,
 //!   per-request deadlines, and per-request panic isolation.
 //! * [`PredictionCache`] — LRU cache keyed by model and a content hash of
-//!   the flattened netlist; hits serve bit-identical payloads.
+//!   the flattened netlist. It stores each result as rendered JSON text,
+//!   which a hit splices into its [`Envelope`] byte for byte.
 //! * [`Metrics`] — atomic counters, fixed-bucket latency histograms,
 //!   rolling p50/p95/p99 latency quantiles, queue-depth gauge, and
 //!   cache hit rate, served via the `metrics` op.
@@ -53,7 +54,9 @@ pub use cache::{fnv1a, PredictionCache};
 pub use drift::{DriftConfig, DriftMonitor};
 pub use gateway::{BackoffConfig, Gateway, GatewayConfig, GatewayHandle};
 pub use metrics::{Metrics, BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_US, ROLLING_WINDOW};
-pub use protocol::{error_response, ok_response, ErrorCode, Op, Request, ServeError};
+pub use protocol::{
+    error_response, ok_response, Envelope, ErrorCode, Op, PredictEnvelope, Request, ServeError,
+};
 pub use registry::{
     LoadedModels, ModelRef, ModelRegistry, RegistryError, ReloadReport, ENSEMBLE_KEY,
 };

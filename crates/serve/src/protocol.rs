@@ -4,12 +4,15 @@
 //!
 //! ```json
 //! {"op": "predict", "id": 7, "model": "cap_ensemble", "netlist": "mp o i vdd vdd pch\n.end\n"}
-//! {"id": 7, "ok": true, "cached": false, "result": {"model": "cap_ensemble", ...}}
+//! {"id": 7, "ok": true, "result": {"model": "cap_ensemble", ...}, "cached": false}
 //! ```
 //!
 //! Every response carries the request's `id` verbatim (or `null`), an
 //! `ok` flag, and either a `result` object or a structured `error` with a
-//! machine-readable `code`.
+//! machine-readable `code`. A predict answer travels as an [`Envelope`]
+//! whose `result` is already rendered JSON text, spliced in on the wire.
+
+use std::sync::Arc;
 
 use serde_json::{json, Value};
 
@@ -244,6 +247,133 @@ pub fn error_response(id: &Value, err: &ServeError) -> Value {
     })
 }
 
+/// A response on its way to the wire: a predict answer with its
+/// `result` as rendered JSON text, or any other answer as a [`Value`].
+#[derive(Debug)]
+pub enum Envelope {
+    /// A predict answer.
+    Predict(PredictEnvelope),
+    /// Every other answer: errors, control plane, `stats` and `erc`.
+    Value(Value),
+}
+
+impl From<Value> for Envelope {
+    fn from(value: Value) -> Self {
+        Envelope::Value(value)
+    }
+}
+
+impl Envelope {
+    /// The envelope as one compact JSON line (without trailing newline).
+    pub fn render(&self) -> String {
+        match self {
+            Envelope::Predict(p) => p.render(),
+            Envelope::Value(v) => serde_json::to_string(v).expect("envelope serialises"),
+        }
+    }
+
+    /// The envelope as a [`Value`]. A predict answer that kept the tree
+    /// its text was rendered from returns it; one served from the cache
+    /// parses its text.
+    pub fn into_value(self) -> Value {
+        match self {
+            Envelope::Predict(p) => p.into_value(),
+            Envelope::Value(v) => v,
+        }
+    }
+
+    /// The envelope's `ok` flag.
+    pub(crate) fn is_ok(&self) -> bool {
+        match self {
+            Envelope::Predict(_) => true,
+            Envelope::Value(v) => v["ok"].as_bool() == Some(true),
+        }
+    }
+
+    /// Appends the `debug` field.
+    pub(crate) fn set_debug(&mut self, debug: Value) {
+        match self {
+            Envelope::Predict(p) => p.debug = Some(debug),
+            Envelope::Value(v) => v["debug"] = debug,
+        }
+    }
+}
+
+/// `{"id": .., "ok": true, "result": .., "cached": .., "debug": ..}` of a
+/// predict, `debug` only when asked for, with `result` held as the JSON
+/// text it renders to. The cache stores that text, so a hit shares it
+/// and renders nothing but the envelope around it.
+#[derive(Debug)]
+pub struct PredictEnvelope {
+    id: Value,
+    result: Arc<str>,
+    /// The tree `result` was rendered from, kept by a miss so an
+    /// in-process caller gets it back without a parse.
+    tree: Option<Value>,
+    cached: bool,
+    debug: Option<Value>,
+}
+
+impl PredictEnvelope {
+    /// A fresh answer: `result` rendered from `tree`.
+    pub(crate) fn miss(id: Value, result: Arc<str>, tree: Value) -> Self {
+        Self {
+            id,
+            result,
+            tree: Some(tree),
+            cached: false,
+            debug: None,
+        }
+    }
+
+    /// An answer from the cache.
+    pub(crate) fn hit(id: Value, result: Arc<str>) -> Self {
+        Self {
+            id,
+            result,
+            tree: None,
+            cached: true,
+            debug: None,
+        }
+    }
+
+    /// The bytes `serde_json::to_string` gives for
+    /// [`PredictEnvelope::into_value`], with `result` copied in verbatim.
+    fn render(&self) -> String {
+        let json = |v: &Value| serde_json::to_string(v).expect("envelope field serialises");
+        let id = json(&self.id);
+        let debug = self.debug.as_ref().map(json);
+        let debug_len = debug.as_ref().map_or(0, String::len);
+        let mut out = String::with_capacity(self.result.len() + id.len() + debug_len + 48);
+        out.push_str("{\"id\":");
+        out.push_str(&id);
+        out.push_str(",\"ok\":true,\"result\":");
+        out.push_str(&self.result);
+        out.push_str(if self.cached {
+            ",\"cached\":true"
+        } else {
+            ",\"cached\":false"
+        });
+        if let Some(debug) = &debug {
+            out.push_str(",\"debug\":");
+            out.push_str(debug);
+        }
+        out.push('}');
+        out
+    }
+
+    fn into_value(self) -> Value {
+        let result = self.tree.unwrap_or_else(|| {
+            serde_json::from_str(&self.result).expect("a rendered result parses")
+        });
+        let mut envelope = ok_response(&self.id, result, Some(self.cached));
+        if let Some(debug) = self.debug {
+            envelope["debug"] = debug;
+        }
+        envelope
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,6 +425,61 @@ mod tests {
         let err = error_response(&id, &ServeError::new(ErrorCode::Overloaded, "queue full"));
         assert_eq!(err["ok"].as_bool(), Some(false));
         assert_eq!(err["error"]["code"].as_str(), Some("overloaded"));
+    }
+
+    /// A predict envelope renders the bytes of the same envelope built as
+    /// a `Value`, and gives that `Value` back whether it kept the tree or
+    /// parses its text.
+    #[test]
+    fn predict_envelope_renders_as_its_value() {
+        let result = json!({
+            "model": "cap_ensemble",
+            "target": "CAP",
+            "members": 4,
+            "predictions": [
+                {"net": "o", "value": 1.25e-15},
+                {"net": "n\"1\\x", "value": -3.5},
+            ],
+        });
+        let text: Arc<str> = serde_json::to_string(&result).unwrap().into();
+        let ids = [
+            Value::Null,
+            json!(0),
+            json!(-7),
+            json!(1.5),
+            json!("q\"uote b\\ack \u{1}\u{1f}\n\t é漢🦀"),
+            json!({"batch": [1, "two"], "none": null}),
+        ];
+        let stages = json!({"parse_us": 12.5, "total_us": 40});
+        let debug = json!({"request_id": "req-9", "cache_hit": true, "stages": stages});
+        for id in &ids {
+            for cached in [false, true] {
+                for debug in [None, Some(&debug)] {
+                    let mut expected = serde_json::Map::new();
+                    expected.insert("id", id.clone());
+                    expected.insert("ok", Value::Bool(true));
+                    expected.insert("result", result.clone());
+                    expected.insert("cached", Value::Bool(cached));
+                    if let Some(debug) = debug {
+                        expected.insert("debug", debug.clone());
+                    }
+                    let expected = Value::Object(expected);
+                    let wire = serde_json::to_string(&expected).unwrap();
+                    for tree in [None, Some(result.clone())] {
+                        let envelope = Envelope::Predict(PredictEnvelope {
+                            id: id.clone(),
+                            result: Arc::clone(&text),
+                            tree,
+                            cached,
+                            debug: debug.cloned(),
+                        });
+                        assert!(envelope.is_ok());
+                        assert_eq!(envelope.render(), wire, "id {id:?}, cached {cached}");
+                        assert_eq!(envelope.into_value(), expected, "id {id:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

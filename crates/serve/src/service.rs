@@ -29,7 +29,8 @@ use crate::cache::{fnv1a, text_hash, PredictionCache};
 use crate::drift::{baseline_from_snapshot, DriftConfig, DriftMonitor, FeatureRows};
 use crate::metrics::Metrics;
 use crate::protocol::{
-    error_response, malformed_json, ok_response, ErrorCode, Op, Request, ServeError,
+    error_response, malformed_json, ok_response, Envelope, ErrorCode, Op, PredictEnvelope, Request,
+    ServeError,
 };
 use crate::registry::{ModelRef, ModelRegistry};
 
@@ -112,7 +113,7 @@ fn request_id(n: u64) -> String {
 }
 
 /// A worker's answer: the response envelope and the request's record.
-type Reply = (Value, RequestRecord);
+type Reply = (Envelope, RequestRecord);
 
 struct Job {
     request: Request,
@@ -129,8 +130,8 @@ struct Job {
 impl Job {
     /// Replies with the record. A submitter that gave up (e.g. its
     /// connection died) must not kill the worker.
-    fn answer(self, response: Value) {
-        let _ = self.reply.send((response, self.record));
+    fn answer(self, response: impl Into<Envelope>) {
+        let _ = self.reply.send((response.into(), self.record));
     }
 }
 
@@ -148,7 +149,7 @@ struct CallCtx {
 }
 
 /// A data-plane request that has been queued but not yet answered.
-/// Obtain one from [`Service::submit`] / [`Service::submit_line`];
+/// Obtain one from [`Service::submit_line`] / [`Service::submit_value`];
 /// resolve it with [`Service::poll`] (non-blocking) or
 /// [`Service::wait`] (blocking). Dropping it abandons the request —
 /// the worker's reply is discarded and no metrics are recorded.
@@ -273,11 +274,10 @@ impl Service {
     /// Handles one raw protocol line, returning the response rendered as
     /// one compact JSON line (without trailing newline).
     pub fn handle_line(&self, line: &str) -> String {
-        let response = match self.submit_line(line) {
-            Submitted::Done(response) => response,
-            Submitted::Pending(call) => self.wait(call),
-        };
-        serde_json::to_string(&response).expect("response serialises")
+        match self.submit_line(line) {
+            Submitted::Done(response) => Envelope::Value(response).render(),
+            Submitted::Pending(call) => self.resolve(call).render(),
+        }
     }
 
     /// Executes one parsed request and returns the response envelope.
@@ -379,14 +379,16 @@ impl Service {
                 }
             }
         };
-        Submitted::Done(self.finalize(ctx, reply))
+        let (response, record) = reply;
+        Submitted::Done(self.finalize(ctx, (response.into(), record)).into_value())
     }
 
-    /// Non-blocking check on a pending call: `Ok(response)` once the
+    /// Non-blocking check on a pending call: `Ok(envelope)` once the
     /// worker replied (metrics recorded, envelope finalised), `Err`
-    /// handing the call back while it is still in flight.
+    /// handing the call back while it is still in flight. A predict
+    /// answer's `result` stays rendered text, ready for the wire.
     #[allow(clippy::missing_errors_doc)]
-    pub fn poll(&self, call: PendingCall) -> Result<Value, PendingCall> {
+    pub fn poll(&self, call: PendingCall) -> Result<Envelope, PendingCall> {
         match call.rx.try_recv() {
             Ok(reply) => Ok(self.finalize(call.ctx, reply)),
             Err(mpsc::TryRecvError::Empty) => Err(call),
@@ -394,8 +396,14 @@ impl Service {
         }
     }
 
-    /// Blocks until a pending call resolves.
+    /// Blocks until a pending call resolves. A cache hit's `result` is
+    /// parsed from the cached text; a miss returns the tree it rendered.
     pub fn wait(&self, call: PendingCall) -> Value {
+        self.resolve(call).into_value()
+    }
+
+    /// [`Service::wait`] without the conversion to a `Value`.
+    fn resolve(&self, call: PendingCall) -> Envelope {
         match call.rx.recv() {
             Ok(reply) => self.finalize(call.ctx, reply),
             Err(_) => self.worker_dropped(call.ctx),
@@ -403,13 +411,13 @@ impl Service {
     }
 
     /// Finalizes a queued request whose worker dropped it unanswered.
-    fn worker_dropped(&self, ctx: CallCtx) -> Value {
+    fn worker_dropped(&self, ctx: CallCtx) -> Envelope {
         let response = error_response(
             &ctx.id,
             &ServeError::new(ErrorCode::Internal, "worker dropped the request"),
         );
         let record = RequestRecord::new(request_id(ctx.request_no), ctx.op.name());
-        self.finalize(ctx, (response, record))
+        self.finalize(ctx, (response.into(), record))
     }
 
     /// The `reload` op, refreshing this service and (via the hook) its
@@ -456,9 +464,9 @@ impl Service {
     /// Completes the record (parse time, total latency, outcome) and
     /// feeds it to metrics, the `debug` field, the event log and the
     /// trace store. Every response funnels through here exactly once.
-    fn finalize(&self, ctx: CallCtx, (mut response, mut record): Reply) -> Value {
+    fn finalize(&self, ctx: CallCtx, (mut response, mut record): Reply) -> Envelope {
         let latency = ctx.started.elapsed();
-        record.ok = response["ok"].as_bool() == Some(true);
+        record.ok = response.is_ok();
         record.slow = latency >= self.config.slow_threshold;
         record.stages.set(Stage::Parse, ctx.parse_us);
         record.stages.set(Stage::Total, latency.as_secs_f64() * 1e6);
@@ -467,7 +475,7 @@ impl Service {
             self.slow_requests.inc();
         }
         if ctx.debug {
-            response["debug"] = debug_json(&record);
+            response.set_debug(debug_json(&record));
         }
         if paragraph_obs::events_enabled() {
             self.emit_events(&record);
@@ -483,7 +491,7 @@ impl Service {
     /// The record's `request` event, plus a `slow_request` event when it
     /// crossed the slow threshold.
     fn emit_events(&self, record: &RequestRecord) {
-        let json = |v: &Value| serde_json::to_string(v).expect("record fields serialise");
+        let stages = serde_json::to_string(&stages_json(record)).expect("stages serialise");
         let mut event = paragraph_obs::Event::new("request")
             .str_field("request_id", &record.request_id)
             .str_field("op", record.op)
@@ -491,11 +499,24 @@ impl Service {
             .bool_field("ok", record.ok)
             .bool_field("slow", record.slow)
             .f64_field("latency_us", record.total_us())
-            .raw_field("stages", &json(&stages_json(record)));
-        let mut fields = serde_json::Map::new();
-        push_predict_fields(record, &mut fields);
-        for (key, value) in fields.iter() {
-            event = event.raw_field(key, &json(value));
+            .raw_field("stages", &stages);
+        // The predict fields `push_predict_fields` gives the `debug`
+        // field, written straight into the line rather than through a
+        // `Value` each.
+        if let Some(m) = &record.model {
+            event = event.str_field("model", m);
+        }
+        if let Some(c) = record.cache_hit {
+            event = event.bool_field("cache_hit", c);
+        }
+        if let Some(v) = record.member_max_v {
+            event = event.f64_field("member_max_v", v);
+        }
+        if let Some(b) = record.batched {
+            event = event.u64_field("batched", b);
+        }
+        if let Some(o) = record.ood {
+            event = event.bool_field("ood", o);
         }
         event.emit();
         if record.slow {
@@ -521,7 +542,7 @@ impl Service {
         record: RequestRecord,
         accepted: Instant,
         span_ctx: Option<SpanContext>,
-    ) -> Result<Receiver<Reply>, Box<Reply>> {
+    ) -> Result<Receiver<Reply>, Box<(Value, RequestRecord)>> {
         let deadline = accepted
             + request
                 .deadline_ms
@@ -682,7 +703,8 @@ pub(crate) fn retained_by_reason(counters: &paragraph_obs::StoreCounters) -> Val
 }
 
 /// Appends the record's predict fields that are set (`model`, ...,
-/// `ood`) to `out`, for the `debug` field and the `request` event.
+/// `ood`) to `out`, for the `debug` field; the `request` event writes
+/// the same fields in `Service::emit_events`.
 fn push_predict_fields(record: &RequestRecord, out: &mut serde_json::Map) {
     if let Some(m) = &record.model {
         out.insert("model", json!(m));
@@ -900,7 +922,7 @@ fn predict_many(
                     let key = resolved.map(|(key, _)| key).expect("matched Ok");
                     stages.set(Stage::CacheLookup, lookup_us(lookup_started));
                     drop(ctx_guard);
-                    answer_hit(job, stages, key, ood, &repeat.value);
+                    answer_hit(job, stages, key, ood, repeat.value);
                     continue;
                 }
                 Some(hash)
@@ -939,7 +961,7 @@ fn predict_many(
         stages.set(Stage::CacheLookup, lookup_us(lookup_started));
         drop(ctx_guard);
         if let Some(hit) = hit {
-            answer_hit(job, stages, key, ood, &hit);
+            answer_hit(job, stages, key, ood, hit);
             continue;
         }
         groups
@@ -1000,8 +1022,12 @@ fn predict_many(
                         let _span =
                             paragraph_obs::span!("predict_job", request_id = job.record.request_id);
                         let result = render_prediction(&key, &model, &p.circuit, &preds);
-                        cache.put(&key, p.content_hash, Arc::new(result.clone()));
-                        ok_response(&job.request.id, result, Some(false))
+                        let text: Arc<str> = serde_json::to_string(&result)
+                            .expect("result serialises")
+                            .into();
+                        cache.put(&key, p.content_hash, Arc::clone(&text));
+                        let id = std::mem::replace(&mut job.request.id, Value::Null);
+                        PredictEnvelope::miss(id, text, result)
                     };
                     drop(ctx_guard);
                     // A batched job waited for the whole batch, so its
@@ -1015,7 +1041,7 @@ fn predict_many(
                     job.record.ood = Some(p.ood);
                     job.record.member_max_v = member_max_v;
                     job.record.batched = (batched > 1).then_some(batched as u64);
-                    job.answer(response);
+                    job.answer(Envelope::Predict(response));
                 }
             }
             Err(panic) => {
@@ -1041,13 +1067,13 @@ fn lookup_us(started: Instant) -> f64 {
 }
 
 /// Answers a predict from a cached payload.
-fn answer_hit(mut job: Job, stages: Stages, key: String, ood: bool, hit: &Value) {
+fn answer_hit(mut job: Job, stages: Stages, key: String, ood: bool, hit: Arc<str>) {
     job.record.stages = stages;
     job.record.model = Some(key);
     job.record.cache_hit = Some(true);
     job.record.ood = Some(ood);
-    let response = ok_response(&job.request.id, hit.clone(), Some(true));
-    job.answer(response);
+    let id = std::mem::replace(&mut job.request.id, Value::Null);
+    job.answer(Envelope::Predict(PredictEnvelope::hit(id, hit)));
 }
 
 /// The predict response body for one circuit's predictions — shared by

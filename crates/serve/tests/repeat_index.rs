@@ -8,7 +8,9 @@
 //!   exact repeats, variants, misses and a reload;
 //! * a stream of repeats, variants and misses leaves the drift monitor,
 //!   and each request's `ood` verdict, exactly as a reference monitor
-//!   fed every request's parsed rows.
+//!   fed every request's parsed rows;
+//! * in process, a hit (whose result is parsed from the cached text)
+//!   equals the miss's `Value` but for `cached`.
 
 mod common;
 
@@ -18,7 +20,9 @@ use common::{build_model_dir, NETLIST_A};
 use paragraph::raw_feature_rows;
 use paragraph_netlist::parse_spice;
 use paragraph_obs::Registry;
-use paragraph_serve::{DriftConfig, DriftMonitor, ModelRegistry, Service, ServiceConfig};
+use paragraph_serve::{
+    DriftConfig, DriftMonitor, ModelRegistry, Request, Service, ServiceConfig, Submitted,
+};
 use serde_json::{json, Value};
 
 const BASE: &str = "mp o i vdd vdd pch nf=2\nmn o i vss vss nch\nc1 o vss 1f\n.end\n";
@@ -97,6 +101,37 @@ fn formatting_variants_hit_the_canonical_key() {
     assert!(!cached, "the same text under another model key misses");
     assert_ne!(single, fill);
     assert_eq!(svc.cache().len(), 3, "entries count stored results");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `Service::call` and `submit_line` + `wait` answer an exact repeat
+/// and a formatting variant's first sighting with the miss's `Value`.
+#[test]
+fn in_process_hits_equal_the_miss_value() {
+    let (dir, _) = build_model_dir("repeat-in-process");
+    let svc = service(&dir, 1);
+    let call = |line: &str| svc.call(Request::parse(line).unwrap());
+    let submit_and_wait = |line: &str| match svc.submit_line(line) {
+        Submitted::Pending(pending) => svc.wait(pending),
+        Submitted::Done(response) => panic!("a predict answered inline: {response:?}"),
+    };
+    let miss = call(&predict_line(1, BASE, None));
+    assert_eq!(miss["cached"].as_bool(), Some(false), "{miss:?}");
+    let mut expected = miss.clone();
+    expected["cached"] = json!(true);
+    for (api, variant) in [("call", VARIANTS[2]), ("submit_line + wait", VARIANTS[3])] {
+        for (deck, path) in [(BASE, "exact repeat"), (variant, "canonical key")] {
+            let line = predict_line(1, deck, None);
+            let hits = svc.cache().hits();
+            let hit = if api == "call" {
+                call(&line)
+            } else {
+                submit_and_wait(&line)
+            };
+            assert_eq!(hit, expected, "{api}, {path}");
+            assert_eq!(svc.cache().hits(), hits + 1, "{api}, {path}");
+        }
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 
