@@ -129,7 +129,7 @@ fn usage() -> ! {
          \x20                              (env PARAGRAPH_EVENTS_PATH)\n\
          \x20        --slow-ms <t>         slow-request threshold in ms\n\
          \x20                              (env PARAGRAPH_SLOW_MS)\n\
-         \x20        --precision <f32|f16|int8>  compiled-path weight\n\
+         \x20        --precision <f32|int8> compiled-path weight\n\
          \x20                              precision; artifact pins win\n\
          \x20                              (env PARAGRAPH_PRECISION)\n\
          \x20        --shards <n>          gateway shard count; 0 = one per\n\
@@ -387,7 +387,7 @@ fn precision_flag_env(flags: &Flags) -> paragraph::Precision {
     use paragraph::Precision;
     if let Some(v) = flags.get("precision") {
         return Precision::parse(v).unwrap_or_else(|| {
-            eprintln!("--precision expects f32|f16|int8, got '{v}'");
+            eprintln!("--precision expects f32|int8, got '{v}'");
             usage()
         });
     }

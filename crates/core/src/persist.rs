@@ -47,7 +47,7 @@ pub struct SavedModel {
     /// monitoring. Absent in artifacts written before baseline capture
     /// existed — such snapshots still load (the field reads as `None`).
     pub baseline: Option<BaselineStats>,
-    /// Pinned compiled-path precision name (`f32`/`f16`/`int8`), if the
+    /// Pinned compiled-path precision name (`f32`/`int8`), if the
     /// model was saved with an explicit pin. `None` (including old
     /// artifacts without the key) follows the process-wide default.
     pub precision: Option<String>,

@@ -156,38 +156,27 @@ impl FitConfig {
 /// discriminant.
 static PRECISION_DEFAULT: AtomicU8 = AtomicU8::new(u8::MAX);
 
-fn precision_to_u8(precision: Precision) -> u8 {
-    match precision {
-        Precision::F32 => 0,
-        Precision::F16 => 1,
-        Precision::Int8 => 2,
-    }
-}
-
 /// Sets the process-wide compiled-path precision for models whose own
 /// `precision` field is `None`. Used by the CLI's `--precision` flag;
 /// overrides any `PARAGRAPH_PRECISION` env value.
 pub fn set_precision_default(precision: Precision) {
-    PRECISION_DEFAULT.store(precision_to_u8(precision), Ordering::Relaxed);
+    PRECISION_DEFAULT.store(precision as u8, Ordering::Relaxed);
 }
 
 /// The process-wide compiled-path precision: whatever
 /// [`set_precision_default`] stored, else the `PARAGRAPH_PRECISION`
-/// environment variable (`f32`/`f16`/`int8`), else [`Precision::F32`].
+/// environment variable (`f32`/`int8`), else [`Precision::F32`].
 pub fn precision_default() -> Precision {
-    match PRECISION_DEFAULT.load(Ordering::Relaxed) {
-        0 => Precision::F32,
-        1 => Precision::F16,
-        2 => Precision::Int8,
-        _ => {
-            let precision = std::env::var("PARAGRAPH_PRECISION")
-                .ok()
-                .and_then(|v| Precision::parse(&v))
-                .unwrap_or(Precision::F32);
-            PRECISION_DEFAULT.store(precision_to_u8(precision), Ordering::Relaxed);
-            precision
-        }
+    let stored = PRECISION_DEFAULT.load(Ordering::Relaxed);
+    if let Some(&precision) = Precision::ALL.get(usize::from(stored)) {
+        return precision;
     }
+    let precision = std::env::var("PARAGRAPH_PRECISION")
+        .ok()
+        .and_then(|v| Precision::parse(&v))
+        .unwrap_or(Precision::F32);
+    set_precision_default(precision);
+    precision
 }
 
 /// A trained per-target GNN model plus everything needed to apply it to a
@@ -634,7 +623,7 @@ impl TargetModel {
     ///
     /// Returns the [`CompileError`] when the model's shapes are
     /// inconsistent, a parameter or calibration site is missing, or a
-    /// weight is not finite at f16/int8.
+    /// weight is not finite at int8.
     pub fn compile(&self) -> Result<&CompiledModel, CompileError> {
         self.compiled
             .get_or_init(|| {

@@ -14,16 +14,13 @@
 //! every kind — the parity suite in `tests/parity.rs` pins this, and
 //! `docs/performance.md` documents the contract.
 //!
-//! [`CompiledModel::compile_with`] additionally offers two quantized
-//! tiers that trade that bitwise contract for throughput (accuracy is
-//! then pinned by tolerance instead — see the golden-metrics suite):
-//!
-//! * [`Precision::F16`] — weights stored as binary16, widened on load,
-//!   accumulated in f32;
-//! * [`Precision::Int8`] — weights prepacked per-output-channel into
-//!   interleaved int8 row pairs, activations quantized per call against
-//!   a [`Calibration`] range (or a dynamic max-abs fallback), products
-//!   accumulated exactly in `i32` through the 16-lane AVX2 `madd` GEMM.
+//! [`CompiledModel::compile_with`] additionally offers
+//! [`Precision::Int8`], which trades that bitwise contract for
+//! throughput (accuracy is then pinned by tolerance instead — see the
+//! golden-metrics suite): weights prepacked per-output-channel into
+//! interleaved int8 row pairs, activations quantized per call against a
+//! [`Calibration`] range (or a dynamic max-abs fallback), products
+//! accumulated exactly in `i32` through the 16-lane AVX2 `madd` GEMM.
 //!
 //! Buffers live in an [`Arena`]: a set of grow-only scratch vectors sized
 //! on first use for a (model, graph-shape) pair and reused verbatim on
@@ -43,44 +40,43 @@ use std::fmt;
 use std::sync::Mutex;
 
 use paragraph_gnn::{GnnKind, GnnModel, GraphBatch, HeteroGraph};
-use paragraph_tensor::{kernels, quant, F16Matrix, QuantMatrix, Tensor};
+use paragraph_tensor::{kernels, quant, QuantMatrix, Tensor};
 
 /// Numeric representation of a compiled model's weights.
 ///
-/// `F32` keeps the tape path's bitwise-parity contract; `F16` and
-/// `Int8` relax it to a tolerance-based accuracy contract in exchange
-/// for throughput (see `docs/performance.md`).
+/// `F32` keeps the tape path's bitwise-parity contract; `Int8`
+/// relaxes it to a tolerance-based accuracy contract in exchange for
+/// throughput (see `docs/performance.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Full f32 weights — bitwise identical to the tape path.
     #[default]
     F32,
-    /// Binary16 weight storage with f32 accumulation.
-    F16,
     /// Symmetric int8 weights (per-output-channel scales) with exact
     /// i32 accumulation and baseline-calibrated activation ranges.
     Int8,
 }
 
 impl Precision {
-    /// Parses the `--precision` flag / `PARAGRAPH_PRECISION` env
-    /// values: `f32`, `f16`, or `int8`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "f32" => Some(Self::F32),
-            "f16" => Some(Self::F16),
-            "int8" => Some(Self::Int8),
-            _ => None,
-        }
-    }
+    /// Every tier, in declaration order: `Precision::ALL[p as usize]`
+    /// is `p`, so per-tier tables index by the discriminant.
+    pub const ALL: [Self; 2] = [Self::F32, Self::Int8];
 
-    /// Flag-style name (`f32`, `f16`, `int8`).
+    /// Flag-style name (`f32`, `int8`).
     pub fn name(self) -> &'static str {
         match self {
             Self::F32 => "f32",
-            Self::F16 => "f16",
             Self::Int8 => "int8",
         }
+    }
+
+    /// Parses the `--precision` flag / `PARAGRAPH_PRECISION` env
+    /// values: a [`Precision::name`], trimmed and case-insensitive.
+    pub fn parse(s: &str) -> Option<Self> {
+        let s = s.trim();
+        Self::ALL
+            .into_iter()
+            .find(|p| p.name().eq_ignore_ascii_case(s))
     }
 }
 
@@ -211,7 +207,6 @@ struct CompiledLayer {
 #[derive(Debug, Clone)]
 enum Packed {
     F32(Tensor),
-    F16(F16Matrix),
     Int8(QuantMatrix),
 }
 
@@ -233,7 +228,6 @@ impl Packed {
         }
         Ok(match precision {
             Precision::F32 => Self::F32(t.clone()),
-            Precision::F16 => Self::F16(F16Matrix::from_f32(t.as_slice(), t.rows(), t.cols())),
             Precision::Int8 => Self::Int8(QuantMatrix::quantize(t.as_slice(), t.rows(), t.cols())),
         })
     }
@@ -322,7 +316,6 @@ fn project(
 ) {
     match w {
         Packed::F32(t) => kernels::matmul(a, t.as_slice(), out, m, k, n),
-        Packed::F16(h) => kernels::matmul_f16(a, h, out, m, k, n),
         Packed::Int8(q) => {
             if !prepared {
                 qa.prepare(a, scale, m, k);
@@ -428,7 +421,7 @@ pub struct CompiledModel {
     calibration: Option<Vec<f32>>,
     in_proj: Vec<Packed>,
     layers: Vec<CompiledLayer>,
-    head: Vec<(Packed, Tensor)>,
+    head: Vec<(Tensor, Tensor)>,
     pool: ArenaPool,
     batch_pool: BatchPool,
 }
@@ -449,8 +442,8 @@ impl CompiledModel {
     /// `precision`. For [`Precision::Int8`], `calibration` supplies the
     /// activation ranges (sites the table does not cover — and the
     /// no-table case — fall back to per-call dynamic max-abs scales).
-    /// The FC head stays f32 under int8: its matrices are tiny, and the
-    /// regression output is most error-sensitive there.
+    /// The FC head stays f32 at every precision: its matrices are tiny,
+    /// and the regression output is most error-sensitive there.
     ///
     /// # Errors
     ///
@@ -589,19 +582,6 @@ impl CompiledModel {
             });
         }
 
-        // The head stays f32 under int8 (tiny matrices, error-sensitive
-        // output); f16 packs it like everything else.
-        let head_precision = match precision {
-            Precision::Int8 => Precision::F32,
-            p => p,
-        };
-        let head: Vec<(Packed, Tensor)> = model
-            .head_specs()
-            .into_iter()
-            .map(|(w, b)| {
-                Packed::pack(w, head_precision, kind, "head weight").map(|p| (p, b.clone()))
-            })
-            .collect::<Result<_, _>>()?;
         let head_specs = model.head_specs();
         let mut width = f;
         for (k, (w, b)) in head_specs.iter().enumerate() {
@@ -622,6 +602,10 @@ impl CompiledModel {
         if width == 0 {
             return Err(invalid("head output width must be positive".into()));
         }
+        let head: Vec<(Tensor, Tensor)> = head_specs
+            .into_iter()
+            .map(|(w, b)| (w.clone(), b.clone()))
+            .collect();
 
         let num_sites = in_proj.len() + 3 * layers.len() + head.len();
         let calibration = match calibration {
@@ -840,11 +824,7 @@ impl CompiledModel {
         calib: Option<&mut [f32]>,
     ) {
         record(calib, site, a);
-        let scale = match w {
-            Packed::Int8(_) => self.act_scale(site, a),
-            _ => 0.0,
-        };
-        project(w, a, scale, out, m, k, n, qa, false);
+        project(w, a, self.act_scale(site, a), out, m, k, n, qa, false);
     }
 
     /// Segment-mean dispatch: the widened-SIMD variant on the
@@ -1178,19 +1158,10 @@ impl CompiledModel {
         kernels::gather_rows(&arena.h[..n * f], f, nodes, g1);
         for (s, (w, b)) in self.head.iter().enumerate() {
             let next = b.cols();
+            let g1 = &arena.g1[..m * width];
+            record(calib.as_deref_mut(), self.site_g(s), g1);
             let g2 = ensure(&mut arena.g2, m * next);
-            self.mm(
-                w,
-                self.site_g(s),
-                &arena.g1[..m * width],
-                g2,
-                m,
-                width,
-                next,
-                &mut arena.qa,
-                calib.as_deref_mut(),
-            );
-            let g2 = &mut arena.g2[..m * next];
+            kernels::matmul(g1, w.as_slice(), g2, m, width, next);
             kernels::add_bias(g2, b.as_slice());
             if s + 1 < self.head.len() {
                 kernels::relu(g2);

@@ -164,7 +164,7 @@ fn steady_state_batched_predict() {
     cfg.fc_layers = 2;
     let model = GnnModel::new(cfg, &schema);
 
-    for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+    for precision in Precision::ALL {
         let exec = CompiledModel::compile_with(&model, precision, None).unwrap();
         let mut out = Vec::new();
         // Two window shapes; warm both so every buffer hits its

@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::quantile::{RollingQuantile, RENDERED_QUANTILES};
+use crate::trace::JsonStr;
 
 /// A label set: `(key, value)` pairs, sorted by key at registration.
 pub type Labels = Vec<(String, String)>;
@@ -447,7 +448,7 @@ impl Registry {
             if fi > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:[", json_string(name));
+            let _ = write!(out, "{}:[", JsonStr(name));
             for (mi, (labels, metric)) in family.by_labels.iter().enumerate() {
                 if mi > 0 {
                     out.push(',');
@@ -457,7 +458,7 @@ impl Registry {
                     if li > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "{}:{}", json_string(k), json_string(v));
+                    let _ = write!(out, "{}:{}", JsonStr(k), JsonStr(v));
                 }
                 out.push('}');
                 match metric {
@@ -564,27 +565,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".to_owned()
     }
-}
-
-/// Minimal JSON string encoder.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The process-wide registry shared by training, tensor, and runtime
@@ -754,10 +734,15 @@ mod tests {
     fn json_render_is_wellformed() {
         let r = Registry::new();
         r.counter("c_total", &[("op", "x")]).add(7);
+        r.counter("e_total", &[("path", "a\"b\\c\nd\u{1}e")]).inc();
         r.histogram("h", &[], &[0.5]).observe(0.25);
         let json = r.render_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"c_total\""));
+        assert!(
+            json.contains(r#""path":"a\"b\\c\nd\u0001e""#),
+            "label value not escaped in:\n{json}"
+        );
         assert!(json.contains("\"value\":7"));
         assert!(json.contains("\"le\":0.5"));
         assert!(json.contains("\"le\":\"inf\""));

@@ -705,6 +705,7 @@ mod tests {
     }
 
     /// A recorded span, as the span layer hands it to the store.
+    #[cfg(feature = "trace")]
     fn spam() -> TraceEvent {
         TraceEvent {
             name: "spam",
@@ -717,6 +718,7 @@ mod tests {
     }
 
     /// The retained request ids, newest first.
+    #[cfg(feature = "trace")]
     fn retained_ids(store: &TraceStore) -> Vec<String> {
         let mut ids = Vec::new();
         store.visit_newest(usize::MAX, |t| ids.push(t.record.request_id.clone()));
@@ -725,6 +727,7 @@ mod tests {
 
     /// A private store with sampling off and no slow threshold: nothing
     /// is retained unless a test opts in.
+    #[cfg(feature = "trace")]
     fn quiet_store() -> TraceStore {
         let store = TraceStore::new();
         store.set_keep_one_in(0);

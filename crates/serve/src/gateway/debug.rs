@@ -13,9 +13,9 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use paragraph::Precision;
 use serde_json::{json, Value};
 
-use crate::metrics::PRECISION_NAMES;
 use crate::service::{retained_by_reason, stages_json, Service};
 
 /// How many retained traces the index and dashboard list (newest
@@ -236,8 +236,8 @@ fn render_batch_section(page: &mut String, snapshots: &[Value]) {
     page.push_str("</table>\n");
 }
 
-/// Per-precision rolling latency per shard (f32/f16/int8); precisions
-/// with no traffic are skipped.
+/// Per-precision rolling latency per shard, one row per tier in
+/// [`Precision::ALL`]; precisions with no traffic are skipped.
 fn render_precision_section(page: &mut String, snapshots: &[Value]) {
     page.push_str(
         "<h2>inference precisions</h2>\
@@ -246,7 +246,8 @@ fn render_precision_section(page: &mut String, snapshots: &[Value]) {
          <th>p50 &micro;s</th><th>p95 &micro;s</th><th>p99 &micro;s</th></tr>\n",
     );
     for (i, snap) in snapshots.iter().enumerate() {
-        for name in PRECISION_NAMES {
+        for precision in Precision::ALL {
+            let name = precision.name();
             let p = &snap["precisions"][name];
             if p["requests"].as_u64().unwrap_or(0) == 0 {
                 continue;

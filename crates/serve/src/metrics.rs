@@ -11,8 +11,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use paragraph::Precision;
 use paragraph_obs::{Counter, Gauge, Histogram, Registry, RollingQuantile, RENDERED_QUANTILES};
-use serde_json::{json, Value};
+use serde_json::{json, Map, Value};
 
 use crate::cache::PredictionCache;
 use crate::protocol::Op;
@@ -52,10 +53,6 @@ struct PrecisionMetrics {
     requests: Arc<Counter>,
     rolling: Arc<RollingQuantile>,
 }
-
-/// Names of the compiled-path precisions tracked by the per-precision
-/// serving metrics, in label order.
-pub const PRECISION_NAMES: [&str; 3] = ["f32", "f16", "int8"];
 
 /// All service counters. Cheap to share behind an `Arc`; every method
 /// takes `&self`.
@@ -107,16 +104,16 @@ impl Metrics {
                 ),
             })
             .collect();
-        let precisions = PRECISION_NAMES
+        let precisions = Precision::ALL
             .iter()
-            .map(|&p| PrecisionMetrics {
+            .map(|p| PrecisionMetrics {
                 requests: registry.counter(
                     "paragraph_serve_precision_requests_total",
-                    &[("precision", p)],
+                    &[("precision", p.name())],
                 ),
                 rolling: registry.rolling(
                     "paragraph_serve_precision_latency_us",
-                    &[("precision", p)],
+                    &[("precision", p.name())],
                     ROLLING_WINDOW,
                 ),
             })
@@ -160,26 +157,17 @@ impl Metrics {
         e.rolling.observe(us);
     }
 
-    /// Records the numeric precision (`f32`/`f16`/`int8`) a predict
-    /// group's inference ran at, with its inference latency. Unknown
-    /// names are ignored (forward compatibility with new tiers).
-    pub fn record_precision(&self, precision: &str, latency: Duration) {
-        let Some(i) = PRECISION_NAMES.iter().position(|&p| p == precision) else {
-            return;
-        };
-        let p = &self.precisions[i];
+    /// Records the numeric precision a predict group's inference ran
+    /// at, with its inference latency.
+    pub fn record_precision(&self, precision: Precision, latency: Duration) {
+        let p = &self.precisions[precision as usize];
         p.requests.inc();
         p.rolling.observe(latency.as_secs_f64() * 1e6);
     }
 
-    /// Requests served at the given precision so far (0 for unknown
-    /// names).
-    pub fn precision_requests(&self, precision: &str) -> u64 {
-        PRECISION_NAMES
-            .iter()
-            .position(|&p| p == precision)
-            .map(|i| self.precisions[i].requests.get())
-            .unwrap_or(0)
+    /// Requests served at the given precision so far.
+    pub fn precision_requests(&self, precision: Precision) -> u64 {
+        self.precisions[precision as usize].requests.get()
     }
 
     /// Records one formed predict batch: `jobs` requests answered by a
@@ -279,7 +267,9 @@ impl Metrics {
                 })
             })
             .collect();
-        let precision_json = |p: &PrecisionMetrics| {
+        let mut precisions = Map::new();
+        for precision in Precision::ALL {
+            let p = &self.precisions[precision as usize];
             let qs = p.rolling.quantiles(&RENDERED_QUANTILES);
             let rolling: Vec<Value> = RENDERED_QUANTILES
                 .iter()
@@ -289,8 +279,11 @@ impl Metrics {
                     json!({ "q": q, "latency_us": value })
                 })
                 .collect();
-            json!({ "requests": p.requests.get(), "latency_rolling": rolling })
-        };
+            precisions.insert(
+                precision.name(),
+                json!({ "requests": p.requests.get(), "latency_rolling": rolling }),
+            );
+        }
         let batch_counts = self.batch_size.bucket_counts();
         let batch_size_buckets: Vec<Value> = self
             .batch_size
@@ -306,11 +299,7 @@ impl Metrics {
             "queue_depth": self.queue_depth(),
             "bad_lines": self.bad_lines(),
             "endpoints": endpoints,
-            "precisions": {
-                "f32": precision_json(&self.precisions[0]),
-                "f16": precision_json(&self.precisions[1]),
-                "int8": precision_json(&self.precisions[2]),
-            },
+            "precisions": Value::Object(precisions),
             "batching": {
                 "batches_formed": self.batches_formed(),
                 "window_admitted_jobs": self.window_admitted_total(),
@@ -525,19 +514,16 @@ mod tests {
     }
 
     /// Per-precision request counters and latency windows render under
-    /// their `precision` label and appear in the JSON snapshot; unknown
-    /// precision names are ignored.
+    /// their `precision` label and appear in the JSON snapshot, one
+    /// entry per tier in [`Precision::ALL`].
     #[test]
     fn precision_metrics_track_each_tier() {
         let m = Metrics::new();
-        m.record_precision("int8", Duration::from_micros(30));
-        m.record_precision("int8", Duration::from_micros(50));
-        m.record_precision("f32", Duration::from_micros(200));
-        m.record_precision("bf16", Duration::from_micros(999)); // unknown: dropped
-        assert_eq!(m.precision_requests("int8"), 2);
-        assert_eq!(m.precision_requests("f32"), 1);
-        assert_eq!(m.precision_requests("f16"), 0);
-        assert_eq!(m.precision_requests("bf16"), 0);
+        m.record_precision(Precision::Int8, Duration::from_micros(30));
+        m.record_precision(Precision::Int8, Duration::from_micros(50));
+        m.record_precision(Precision::F32, Duration::from_micros(200));
+        assert_eq!(m.precision_requests(Precision::Int8), 2);
+        assert_eq!(m.precision_requests(Precision::F32), 1);
         let cache = PredictionCache::new(1);
         let text = m.render(&cache);
         assert!(
@@ -552,7 +538,13 @@ mod tests {
         );
         let snap = m.snapshot(&cache);
         assert_eq!(snap["precisions"]["int8"]["requests"].as_u64(), Some(2));
-        assert_eq!(snap["precisions"]["f16"]["requests"].as_u64(), Some(0));
+        let tiers: Vec<&str> = snap["precisions"]
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert_eq!(tiers, ["f32", "int8"], "one entry per tier, none other");
         assert_eq!(
             snap["precisions"]["f32"]["latency_rolling"][0]["latency_us"].as_f64(),
             Some(200.0)

@@ -84,15 +84,15 @@ impl ModelRef {
         }
     }
 
-    /// Flag-style name of the precision inference for this model runs
-    /// at (`f32`/`f16`/`int8`); used to label the per-precision serving
-    /// metrics. Ensembles report their members' shared precision.
-    pub fn precision_name(&self) -> &'static str {
+    /// The precision inference for this model runs at; used to label
+    /// the per-precision serving metrics. Ensembles report their
+    /// members' shared precision.
+    pub fn precision(&self) -> Precision {
         let model = match self {
             ModelRef::Single(m) => m,
             ModelRef::Ensemble(e) => &e.members()[0],
         };
-        model.effective_precision().name()
+        model.effective_precision()
     }
 }
 

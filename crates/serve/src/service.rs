@@ -1009,7 +1009,7 @@ fn predict_many(
                 // Cache hits never get here: only groups that ran
                 // inference count toward the precision metrics.
                 metrics.record_precision(
-                    model.precision_name(),
+                    model.precision(),
                     Duration::from_secs_f64(profile.inference_us / 1e6),
                 );
                 let batched = pending.len();

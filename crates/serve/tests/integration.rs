@@ -282,9 +282,25 @@ fn hot_reload_swaps_registry() {
     assert_eq!(r["result"]["members"].as_u64(), Some(3));
     std::fs::remove_file(dir.join("cap_overflow.json")).unwrap();
 
+    // An artifact pinned to a tier the executor does not have is
+    // refused the same way, never quietly loaded at f32.
+    saved.precision = Some("f16".to_owned());
+    std::fs::write(dir.join("cap_f16.json"), saved.to_json()).unwrap();
+    let err = ModelRegistry::open(&dir).expect_err("open must refuse the f16 pin");
+    assert!(err.to_string().contains("unknown precision 'f16'"), "{err}");
+    let r = c.roundtrip(r#"{"op": "reload", "id": 5}"#);
+    assert_eq!(r["ok"].as_bool(), Some(false), "{r:?}");
+    let message = r["error"]["message"].as_str().unwrap();
+    assert!(message.contains("unknown precision 'f16'"), "{message}");
+    assert_eq!(service.registry().current().models.len(), 3);
+    let r = c.roundtrip(&predict_line(6, NETLIST_B, None));
+    assert_eq!(r["ok"].as_bool(), Some(true), "{r:?}");
+    assert_eq!(r["result"]["members"].as_u64(), Some(3));
+    std::fs::remove_file(dir.join("cap_f16.json")).unwrap();
+
     // A corrupt snapshot must fail the reload and keep the old registry.
     std::fs::write(dir.join("broken.json"), "{not a model").unwrap();
-    let r = c.roundtrip(r#"{"op": "reload", "id": 5}"#);
+    let r = c.roundtrip(r#"{"op": "reload", "id": 7}"#);
     assert_eq!(r["ok"].as_bool(), Some(false));
     assert_eq!(r["error"]["code"].as_str(), Some("internal"));
     assert_eq!(

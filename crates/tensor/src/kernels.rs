@@ -22,7 +22,7 @@
 //! `docs/performance.md` for the bitwise-parity contract.
 
 use crate::plan::CsrPlan;
-use crate::quant::{F16Matrix, QuantMatrix};
+use crate::quant::QuantMatrix;
 use crate::tensor::{matmul_into, par_rows_by_work};
 
 /// Row norms at or below this threshold pass through
@@ -528,7 +528,7 @@ pub fn attend_apply(z: &[f32], f: usize, plan: &CsrPlan, alpha: &[f32], out: &mu
 // Everything below serves the compiled executor's reduced-precision
 // path. These kernels keep a *scalar/SIMD* bitwise guarantee (integer
 // accumulation is exact; the float paths use the same per-element
-// mul/add order on every dispatch), but the f16/int8 results are of
+// mul/add order on every dispatch), but the int8 results are of
 // course not bitwise equal to the f32 kernels above — the accuracy
 // contract is pinned by tolerance instead (see docs/performance.md).
 
@@ -539,95 +539,6 @@ pub fn attend_apply(z: &[f32], f: usize, plan: &CsrPlan, alpha: &[f32], out: &mu
 #[cfg(target_arch = "x86_64")]
 fn lanes8_tiled(cols: usize) -> bool {
     cols > 0 && cols.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// Dense product `out = a (m x k) @ b (k x n)` with binary16 weights
-/// widened to f32 on load and accumulated in f32. Zeroes `out` first.
-///
-/// The AVX2+F16C path widens eight weights per `vcvtph2ps` and keeps
-/// the per-element accumulation order of the scalar fallback (ascending
-/// `p`, mul/add unfused), so the two dispatches are bit-identical.
-///
-/// # Panics
-///
-/// Panics if any length disagrees with the given shape.
-pub fn matmul_f16(a: &[f32], b: &F16Matrix, out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "matmul_f16 lhs length mismatch");
-    assert_eq!(
-        (b.rows(), b.cols()),
-        (k, n),
-        "matmul_f16 rhs shape mismatch"
-    );
-    assert_eq!(out.len(), m * n, "matmul_f16 out length mismatch");
-    out.fill(0.0);
-    let work = m.saturating_mul(k).saturating_mul(n);
-    par_rows_by_work(m, n, work, out, |chunk, r0, r1| {
-        #[cfg(target_arch = "x86_64")]
-        if lanes8_tiled(n) && std::arch::is_x86_feature_detected!("f16c") {
-            // SAFETY: feature detection and lane count checked above.
-            unsafe { matmul_f16_rows_avx2(a, b.data(), chunk, k, n, r0, r1) };
-            return;
-        }
-        for i in r0..r1 {
-            let c_row = &mut chunk[(i - r0) * n..(i - r0 + 1) * n];
-            let a_row = &a[i * k..(i + 1) * k];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue;
-                }
-                let b_row = &b.data()[p * n..(p + 1) * n];
-                for (c_v, &b_v) in c_row.iter_mut().zip(b_row.iter()) {
-                    *c_v += a_ip * crate::quant::f16_to_f32(b_v);
-                }
-            }
-        }
-    });
-}
-
-/// AVX2+F16C inner kernel for [`matmul_f16`]: `n` a multiple of 8,
-/// output rows live in up to eight 256-bit accumulators per column
-/// tile; wider rows iterate 64-column tiles (per-element accumulation
-/// order is unchanged by the tiling).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,f16c")]
-unsafe fn matmul_f16_rows_avx2(
-    a: &[f32],
-    b: &[u16],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    row_start: usize,
-    row_end: usize,
-) {
-    use std::arch::x86_64::*;
-    let mut col0 = 0;
-    while col0 < n {
-        let blocks = ((n - col0) / 8).min(8);
-        for i in row_start..row_end {
-            let c_row = c[(i - row_start) * n..(i - row_start + 1) * n].as_mut_ptr();
-            let a_row = &a[i * k..(i + 1) * k];
-            let mut acc = [_mm256_setzero_ps(); 8];
-            for (bl, slot) in acc.iter_mut().take(blocks).enumerate() {
-                *slot = _mm256_loadu_ps(c_row.add(col0 + bl * 8));
-            }
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue;
-                }
-                let av = _mm256_set1_ps(a_ip);
-                let b_row = b[p * n..(p + 1) * n].as_ptr();
-                for (bl, slot) in acc.iter_mut().take(blocks).enumerate() {
-                    let half = _mm_loadu_si128(b_row.add(col0 + bl * 8) as *const __m128i);
-                    let bv = _mm256_cvtph_ps(half);
-                    *slot = _mm256_add_ps(*slot, _mm256_mul_ps(av, bv));
-                }
-            }
-            for (bl, slot) in acc.iter().take(blocks).enumerate() {
-                _mm256_storeu_ps(c_row.add(col0 + bl * 8), *slot);
-            }
-        }
-        col0 += blocks * 8;
-    }
 }
 
 /// Widened int8 GEMM: `out = dequant(qa (m x k) @ b (k x n))` where
@@ -1320,29 +1231,6 @@ mod tests {
         for (q, e) in out.iter().zip(exact.iter()) {
             assert!((q - e).abs() <= 0.02 * scale, "int8 {q} vs f32 {e}");
         }
-    }
-
-    #[test]
-    fn matmul_f16_matches_f32_within_half_ulp_accumulation() {
-        let (m, k, n) = (5, 12, 16);
-        let a: Vec<f32> = (0..m * k)
-            .map(|i| ((i * 7 % 17) as f32 - 8.0) * 0.125)
-            .collect();
-        let b: Vec<f32> = (0..k * n)
-            .map(|i| ((i * 11 % 13) as f32 - 6.0) * 0.0625)
-            .collect();
-        let mut exact = vec![0.0; m * n];
-        matmul(&a, &b, &mut exact, m, k, n);
-        let bh = F16Matrix::from_f32(&b, k, n);
-        let mut out = vec![0.0; m * n];
-        matmul_f16(&a, &bh, &mut out, m, k, n);
-        let scale = crate::quant::max_abs(&exact).max(1e-6);
-        for (h, e) in out.iter().zip(exact.iter()) {
-            assert!((h - e).abs() <= 2e-3 * scale, "f16 {h} vs f32 {e}");
-        }
-        // These weights are exactly representable in f16, so the product
-        // must in fact be bit-identical.
-        assert_eq!(out, exact);
     }
 
     #[test]

@@ -50,6 +50,6 @@ mod tensor;
 pub use optim::{Adam, Sgd};
 pub use params::{init_rng, ParamId, ParamSet};
 pub use plan::CsrPlan;
-pub use quant::{F16Matrix, QuantMatrix};
+pub use quant::QuantMatrix;
 pub use tape::{attention_probabilities, Gradients, Tape, Var};
 pub use tensor::Tensor;

@@ -1,132 +1,15 @@
 //! Quantized weight storage for low-precision inference.
 //!
 //! The compiled executor (`paragraph-exec`) can trade the tape path's
-//! bitwise determinism for throughput by packing layer weights into one
-//! of two reduced-precision layouts at compile time:
-//!
-//! * [`F16Matrix`] — IEEE 754 binary16 storage with f32 accumulation.
-//!   Half the weight memory traffic of f32; error per element is one
-//!   half-precision ulp (relative error ≤ 2⁻¹¹ for normal values).
-//! * [`QuantMatrix`] — symmetric int8 with **per-output-column scales**
-//!   (`scale[j] = max_p |w[p][j]| / 127`), packed as interleaved
-//!   row-pairs of `i16` so the AVX2 `madd` kernel in
-//!   [`crate::kernels::matmul_q8`] multiplies two weight rows across 16
-//!   lanes per instruction. Activations are quantized per call with a
-//!   single scale (calibrated or dynamic max-abs) and products
-//!   accumulate exactly in `i32`, so the integer kernel is
-//!   bit-identical between its scalar and SIMD paths.
-//!
-//! The float↔half conversions are self-contained (round to nearest,
-//! ties to even — the IEEE default), covering subnormals, infinities
-//! and NaN, and are property-tested against the ulp bound in
-//! `tests/prop_quant_roundtrip.rs`.
-
-/// Converts an `f32` to IEEE 754 binary16 bits, rounding to nearest
-/// with ties to even. Values above the f16 range become infinities;
-/// NaN becomes a quiet NaN.
-pub fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let abs = bits & 0x7fff_ffff;
-    if abs >= 0x7f80_0000 {
-        // Infinity passes through; any NaN becomes a quiet NaN.
-        return sign | if abs > 0x7f80_0000 { 0x7e00 } else { 0x7c00 };
-    }
-    // Rebias the exponent from f32 (127) to f16 (15).
-    let exp = (abs >> 23) as i32 - 127 + 15;
-    if exp >= 31 {
-        return sign | 0x7c00; // overflow → infinity
-    }
-    if exp <= 0 {
-        // Result is subnormal (or zero): make the implicit bit explicit
-        // and shift the mantissa into the 10-bit field.
-        if exp < -10 {
-            return sign; // underflows to signed zero
-        }
-        let man = (abs & 0x7f_ffff) | 0x80_0000;
-        let shift = (14 - exp) as u32;
-        let half = man >> shift;
-        let rem = man & ((1u32 << shift) - 1);
-        let halfway = 1u32 << (shift - 1);
-        let round_up = rem > halfway || (rem == halfway && (half & 1) == 1);
-        return sign | (half + u32::from(round_up)) as u16;
-    }
-    let man = abs & 0x7f_ffff;
-    let half = ((exp as u32) << 10) | (man >> 13);
-    let rem = man & 0x1fff;
-    let round_up = rem > 0x1000 || (rem == 0x1000 && (half & 1) == 1);
-    // A mantissa carry propagates into the exponent field, which is the
-    // correct rounding (up to infinity at the top of the range).
-    sign | (half + u32::from(round_up)) as u16
-}
-
-/// Converts IEEE 754 binary16 bits to the exactly-representable `f32`.
-pub fn f16_to_f32(h: u16) -> f32 {
-    let sign = ((h as u32) & 0x8000) << 16;
-    let exp = (h >> 10) & 0x1f;
-    let man = (h & 0x3ff) as u32;
-    let bits = match exp {
-        0 => {
-            if man == 0 {
-                sign // signed zero
-            } else {
-                // Subnormal: value = man · 2⁻²⁴; renormalise for f32.
-                let msb = 31 - man.leading_zeros();
-                let e = msb as i32 - 24 + 127;
-                let frac = (man << (23 - msb)) & 0x7f_ffff;
-                sign | ((e as u32) << 23) | frac
-            }
-        }
-        31 => sign | 0x7f80_0000 | (man << 13), // infinity / NaN
-        _ => sign | ((exp as u32 + 127 - 15) << 23) | (man << 13),
-    };
-    f32::from_bits(bits)
-}
-
-/// Row-major matrix stored as IEEE 754 binary16, accumulated in f32 by
-/// [`crate::kernels::matmul_f16`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct F16Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<u16>,
-}
-
-impl F16Matrix {
-    /// Converts a row-major f32 slice (length `rows * cols`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice length disagrees with the shape.
-    pub fn from_f32(data: &[f32], rows: usize, cols: usize) -> Self {
-        assert_eq!(data.len(), rows * cols, "f16 matrix length mismatch");
-        Self {
-            rows,
-            cols,
-            data: data.iter().map(|&v| f32_to_f16(v)).collect(),
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The raw binary16 storage, row-major.
-    pub fn data(&self) -> &[u16] {
-        &self.data
-    }
-
-    /// Element `(i, j)` widened back to f32.
-    pub fn get(&self, i: usize, j: usize) -> f32 {
-        f16_to_f32(self.data[i * self.cols + j])
-    }
-}
+//! bitwise determinism for throughput by packing layer weights into
+//! [`QuantMatrix`] at compile time: symmetric int8 with
+//! **per-output-column scales** (`scale[j] = max_p |w[p][j]| / 127`),
+//! packed as interleaved row-pairs of `i16` so the AVX2 `madd` kernel
+//! in [`crate::kernels::matmul_q8`] multiplies two weight rows across
+//! 16 lanes per instruction. Activations are quantized per call with a
+//! single scale (calibrated or dynamic max-abs) and products accumulate
+//! exactly in `i32`, so the integer kernel is bit-identical between its
+//! scalar and SIMD paths.
 
 /// Largest magnitude in `x` (0 for an empty slice; NaN-free inputs).
 pub fn max_abs(x: &[f32]) -> f32 {
@@ -290,51 +173,6 @@ impl QuantMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn f16_roundtrip_exact_for_representable_values() {
-        for v in [
-            0.0_f32, -0.0, 1.0, -1.0, 0.5, 2.0, 65504.0,  // f16 max
-            6.1e-5,   // near smallest normal
-            5.96e-8,  // smallest subnormal magnitude
-            -0.15625, // exact in f16
-        ] {
-            let back = f16_to_f32(f32_to_f16(v));
-            let rel = if v == 0.0 {
-                (back - v).abs()
-            } else {
-                ((back - v) / v).abs()
-            };
-            assert!(rel <= 1.0 / 2048.0, "f16 roundtrip {v} -> {back}");
-        }
-        assert_eq!(f16_to_f32(f32_to_f16(-0.0)).to_bits(), (-0.0_f32).to_bits());
-    }
-
-    #[test]
-    fn f16_saturates_and_preserves_specials() {
-        assert_eq!(f32_to_f16(1e9), 0x7c00);
-        assert_eq!(f32_to_f16(-1e9), 0xfc00);
-        assert_eq!(f32_to_f16(f32::INFINITY), 0x7c00);
-        assert_eq!(f32_to_f16(f32::NEG_INFINITY), 0xfc00);
-        assert!(f16_to_f32(f32_to_f16(f32::NAN)).is_nan());
-        // Below half the smallest subnormal: rounds to zero.
-        assert_eq!(f32_to_f16(1e-9), 0x0000);
-        assert_eq!(f32_to_f16(-1e-9), 0x8000);
-    }
-
-    #[test]
-    fn f16_round_to_nearest_even() {
-        // 1 + 2^-11 is exactly halfway between 1.0 and the next f16;
-        // ties-to-even keeps the even mantissa (1.0).
-        let halfway = 1.0 + 2f32.powi(-11);
-        assert_eq!(f32_to_f16(halfway), f32_to_f16(1.0));
-        // 1 + 3·2^-11 is halfway with an odd low bit: rounds up.
-        let halfway_odd = 1.0 + 3.0 * 2f32.powi(-11);
-        assert_eq!(
-            f32_to_f16(halfway_odd),
-            f32_to_f16(1.0 + 4.0 * 2f32.powi(-11))
-        );
-    }
 
     #[test]
     fn quant_matrix_roundtrip_error_bounded_by_half_scale() {
