@@ -489,12 +489,15 @@ impl Parser<'_> {
                         b'u' => {
                             let hi = self.hex4()?;
                             let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
+                                // Surrogate pair: a low surrogate must follow.
                                 if !self.eat_keyword("\\u") {
                                     return Err(self.err("unpaired surrogate"));
                                 }
                                 let lo = self.hex4()?;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00))
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(self.err("unpaired surrogate"));
+                                }
+                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 hi
                             };
@@ -602,6 +605,24 @@ mod tests {
     fn malformed_inputs_rejected() {
         for bad in ["{", "[1,", "\"abc", "{\"a\" 1}", "tru", "1.2.3", "[] []"] {
             assert!(parse_json_text(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_must_pair_high_with_low() {
+        for bad in [r#""\ud800\u0041""#, r#""\ud800\ue000""#] {
+            let err = parse_json_text(bad).expect_err(bad);
+            assert!(
+                err.to_string().contains("unpaired surrogate"),
+                "{bad}: {err}"
+            );
+        }
+        for (text, want) in [
+            (r#""\ud83d\ude00""#, '\u{1F600}'),
+            (r#""\udbff\udfff""#, '\u{10FFFF}'),
+        ] {
+            let parsed = parse_json_text(text).unwrap();
+            assert_eq!(parsed.as_str(), Some(want.to_string().as_str()), "{text}");
         }
     }
 }

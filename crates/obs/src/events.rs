@@ -192,11 +192,27 @@ impl Event {
     /// Adds a float field; non-finite values render as `null`.
     pub fn f64_field(mut self, key: &str, value: f64) -> Self {
         if let Some(buf) = &mut self.buf {
-            if value.is_finite() {
-                let _ = write!(buf, ",{}:{value}", JsonStr(key));
-            } else {
-                let _ = write!(buf, ",{}:null", JsonStr(key));
+            let _ = write!(buf, ",{}:", JsonStr(key));
+            push_f64(buf, value);
+        }
+        self
+    }
+
+    /// Adds an object field of float members, `{"k":v,...}` in the
+    /// order given; non-finite values render as `null`.
+    pub fn f64_object_field<'a>(
+        mut self,
+        key: &str,
+        members: impl IntoIterator<Item = (&'a str, f64)>,
+    ) -> Self {
+        if let Some(buf) = &mut self.buf {
+            let _ = write!(buf, ",{}:{{", JsonStr(key));
+            for (i, (name, value)) in members.into_iter().enumerate() {
+                let comma = if i == 0 { "" } else { "," };
+                let _ = write!(buf, "{comma}{}:", JsonStr(name));
+                push_f64(buf, value);
             }
+            buf.push('}');
         }
         self
     }
@@ -205,15 +221,6 @@ impl Event {
     pub fn bool_field(mut self, key: &str, value: bool) -> Self {
         if let Some(buf) = &mut self.buf {
             let _ = write!(buf, ",{}:{value}", JsonStr(key));
-        }
-        self
-    }
-
-    /// Adds a field whose value is already-rendered JSON (an object or
-    /// array built by the caller). The caller guarantees validity.
-    pub fn raw_field(mut self, key: &str, json: &str) -> Self {
-        if let Some(buf) = &mut self.buf {
-            let _ = write!(buf, ",{}:{json}", JsonStr(key));
         }
         self
     }
@@ -230,6 +237,15 @@ impl Event {
             buf.push('}');
             record_line(buf);
         }
+    }
+}
+
+/// Writes `value` as a JSON number, or `null` when it is not finite.
+fn push_f64(buf: &mut String, value: f64) {
+    if value.is_finite() {
+        let _ = write!(buf, "{value}");
+    } else {
+        buf.push_str("null");
     }
 }
 
@@ -328,7 +344,8 @@ mod tests {
             .f64_field("lat_us", 12.5)
             .f64_field("nan", f64::NAN)
             .bool_field("ok", true)
-            .raw_field("stages", "{\"parse_us\":1}")
+            .f64_object_field("stages", [("parse_us", 1.0), ("exec_us", f64::INFINITY)])
+            .f64_object_field("empty", [])
             .emit();
         set_events_enabled(false);
         let lines = take_event_lines();
@@ -346,7 +363,11 @@ mod tests {
         assert!(line.contains("\"lat_us\":12.5"), "{line}");
         assert!(line.contains("\"nan\":null"), "{line}");
         assert!(line.contains("\"ok\":true"), "{line}");
-        assert!(line.contains("\"stages\":{\"parse_us\":1}"), "{line}");
+        assert!(
+            line.contains("\"stages\":{\"parse_us\":1,\"exec_us\":null}"),
+            "{line}"
+        );
+        assert!(line.contains("\"empty\":{}"), "{line}");
         assert!(!line.contains('\n'), "one line per event: {line}");
     }
 

@@ -1,8 +1,10 @@
 //! Per-connection state machine for the gateway's evented loop.
 //!
 //! Each [`Conn`] wraps one nonblocking [`TcpStream`] and is ticked by
-//! its shard: flush pending output, poll the in-flight request, read
-//! whatever bytes are available, and drive the protocol forward. The
+//! its shard when it can move: flush pending output, poll the in-flight
+//! request, read whatever bytes are available, and drive the protocol
+//! forward. Between ticks it tells the shard what to `poll` it for and
+//! when its deadline falls. The
 //! first non-whitespace byte decides the protocol — `{` means the
 //! JSON-lines line protocol, anything else is parsed as HTTP/1.1 — so
 //! both kinds of client share one port.
@@ -12,14 +14,17 @@
 //! floods requests is back-pressured by simply not reading more until
 //! the current one resolves.
 
+use std::ffi::c_short;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::time::Instant;
 
 use serde_json::Value;
 
 use super::http::{self, HttpParse};
-use super::ShardCtx;
+use super::poll::{PollFd, POLLERR_HUP_NVAL, POLLIN, POLLOUT};
+use super::{GatewayConfig, ShardCtx};
 use crate::protocol::{error_response, Envelope, ErrorCode, Op, Request, ServeError};
 use crate::service::PendingCall;
 use crate::service::Submitted;
@@ -60,6 +65,13 @@ pub(super) struct Conn {
     last_activity: Instant,
     read_closed: bool,
     close_after_flush: bool,
+    /// `poll` reported an error or hang-up while a call was in flight:
+    /// the socket is out of the poll set, and the connection closes once
+    /// the call resolves.
+    hung_up: bool,
+    /// What the shard's last `poll` reported for this socket; a new
+    /// connection starts as if reported readable, so it is ticked once.
+    pub(super) revents: c_short,
 }
 
 impl Conn {
@@ -74,6 +86,8 @@ impl Conn {
             last_activity: Instant::now(),
             read_closed: false,
             close_after_flush: false,
+            hung_up: false,
+            revents: POLLIN,
         }
     }
 
@@ -81,17 +95,63 @@ impl Conn {
         self.out_pos == self.out.len()
     }
 
-    /// True while a request is waiting on a worker; the shard loop
-    /// polls more eagerly then.
-    pub(super) fn has_inflight(&self) -> bool {
-        self.inflight.is_some()
+    /// What the shard polls this socket for: input only while nothing
+    /// is in flight and the read side is open, output only while some
+    /// is pending. Errors and hang-ups are reported regardless, so a
+    /// hung-up socket is polled as descriptor -1, which `poll` skips.
+    pub(super) fn poll_fd(&self) -> PollFd {
+        if self.hung_up {
+            return PollFd::new(-1, 0);
+        }
+        let mut events = 0;
+        if self.inflight.is_none() && !self.read_closed {
+            events |= POLLIN;
+        }
+        if !self.out_done() {
+            events |= POLLOUT;
+        }
+        PollFd::new(self.stream.as_raw_fd(), events)
+    }
+
+    /// When a stalled partial request times out (`read_deadline`) or an
+    /// idle keep-alive connection is reclaimed (`idle_deadline`); `None`
+    /// while a call is in flight or output is pending.
+    pub(super) fn deadline(&self, config: &GatewayConfig) -> Option<Instant> {
+        if self.inflight.is_some() {
+            None
+        } else if !self.buf.is_empty() {
+            self.last_activity.checked_add(config.read_deadline)
+        } else if self.out_done() {
+            self.last_activity.checked_add(config.idle_deadline)
+        } else {
+            None
+        }
+    }
+
+    /// Whether a tick can move this connection: `poll` reported it, a
+    /// call is in flight (checking its reply costs no syscall), or its
+    /// deadline has passed. An idle keep-alive socket is left alone.
+    pub(super) fn due(&self, now: Instant, config: &GatewayConfig) -> bool {
+        self.revents != 0
+            || self.inflight.is_some()
+            || self.deadline(config).is_some_and(|d| d <= now)
     }
 
     /// One scheduling quantum: returns `false` when the connection is
-    /// finished and should be dropped. Sets `*progress` when any bytes
-    /// moved or a request resolved, so the shard loop knows not to
-    /// sleep.
-    pub(super) fn tick(&mut self, ctx: &ShardCtx, progress: &mut bool) -> bool {
+    /// finished and should be dropped.
+    pub(super) fn tick(&mut self, ctx: &ShardCtx) -> bool {
+        // An error or hang-up ends the connection. A call still in flight
+        // is first resolved, off the poll set, so it is finalised like
+        // any other (metrics, events, traces); its answer is dropped.
+        if self.revents & POLLERR_HUP_NVAL != 0 {
+            self.hung_up = true;
+        }
+        if self.hung_up {
+            if let Some((call, kind)) = self.inflight.take() {
+                self.inflight = ctx.service.poll(call).err().map(|call| (call, kind));
+            }
+            return self.inflight.is_some();
+        }
         let mut active = false;
 
         if !self.flush(&mut active) {
@@ -110,9 +170,11 @@ impl Conn {
             }
         }
 
-        // Read only while nothing is in flight: ordered responses and
-        // natural backpressure against request floods.
-        if self.inflight.is_none() && !self.read_closed {
+        // Read only while nothing is in flight (ordered responses and
+        // natural backpressure against request floods), and only when
+        // `poll` reported input (it is asked for none once the read side
+        // closed): an unreported socket would only answer `WouldBlock`.
+        if self.inflight.is_none() && self.revents & POLLIN != 0 {
             let mut tmp = [0u8; 8192];
             loop {
                 match self.stream.read(&mut tmp) {
@@ -144,7 +206,6 @@ impl Conn {
         let now = Instant::now();
         if active {
             self.last_activity = now;
-            *progress = true;
         }
 
         if self.close_after_flush && self.inflight.is_none() && self.out_done() {
@@ -157,41 +218,37 @@ impl Conn {
         // A partial request that stopped making progress (slow-loris)
         // gets a timeout response and the connection is closed; a
         // fully-idle keep-alive connection is eventually reclaimed.
-        let stalled = now.duration_since(self.last_activity);
-        if self.inflight.is_none() && !self.buf.is_empty() && stalled >= ctx.config.read_deadline {
-            match self.proto {
-                Proto::JsonLines => self.push_json_line(error_response(
-                    &Value::Null,
-                    &ServeError::new(
-                        ErrorCode::DeadlineExceeded,
-                        "timed out waiting for a complete request line",
-                    ),
-                )),
-                Proto::Http | Proto::Undecided => {
-                    let body = http::error_body(
-                        "deadline_exceeded",
-                        "timed out waiting for a complete request",
-                    );
-                    self.out.extend_from_slice(&http::response(
-                        408,
-                        "Request Timeout",
-                        "application/json",
-                        &body,
-                        false,
-                        &[],
-                    ));
-                }
-            }
-            self.buf.clear();
-            self.close_after_flush = true;
-            *progress = true;
-        } else if self.inflight.is_none()
-            && self.buf.is_empty()
-            && self.out_done()
-            && stalled >= ctx.config.idle_deadline
-        {
+        if self.deadline(&ctx.config).is_none_or(|d| now < d) {
+            return true;
+        }
+        if self.buf.is_empty() {
             return false;
         }
+        match self.proto {
+            Proto::JsonLines => self.push_json_line(error_response(
+                &Value::Null,
+                &ServeError::new(
+                    ErrorCode::DeadlineExceeded,
+                    "timed out waiting for a complete request line",
+                ),
+            )),
+            Proto::Http | Proto::Undecided => {
+                let body = http::error_body(
+                    "deadline_exceeded",
+                    "timed out waiting for a complete request",
+                );
+                self.out.extend_from_slice(&http::response(
+                    408,
+                    "Request Timeout",
+                    "application/json",
+                    &body,
+                    false,
+                    &[],
+                ));
+            }
+        }
+        self.buf.clear();
+        self.close_after_flush = true;
         true
     }
 

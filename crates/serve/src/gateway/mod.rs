@@ -7,7 +7,10 @@
 //! shared [`ModelRegistry`], and runs a readiness loop over its
 //! nonblocking sockets — no thread per connection, so tens of thousands
 //! of keep-alive connections cost two threads per shard plus the
-//! acceptor.
+//! acceptor. The loop sleeps in `poll(2)` until a socket is ready, a
+//! deadline falls, or its wake descriptor is written: by its workers as
+//! each job ends, by the acceptor as it hands over a connection, and by
+//! the [`GatewayHandle`] at shutdown.
 //!
 //! Every connection speaks either HTTP/1.1 (`POST /predict`,
 //! `GET /health|/metrics|/metrics.json|/registry`, plus the live ops
@@ -27,6 +30,7 @@
 mod conn;
 mod debug;
 mod http;
+mod poll;
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -34,7 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde_json::{json, Value};
 
@@ -42,6 +46,8 @@ use crate::protocol::Op;
 use crate::registry::ModelRegistry;
 use crate::service::{Service, ServiceConfig};
 use conn::Conn;
+pub(crate) use poll::Waker;
+use poll::{PollFd, POLLIN};
 
 /// Gateway tuning knobs.
 #[derive(Debug, Clone)]
@@ -65,8 +71,6 @@ pub struct GatewayConfig {
     pub read_deadline: Duration,
     /// How long a fully-idle keep-alive connection is retained.
     pub idle_deadline: Duration,
-    /// Shard event-loop pacing when a tick makes no progress.
-    pub backoff: BackoffConfig,
 }
 
 impl Default for GatewayConfig {
@@ -79,55 +83,8 @@ impl Default for GatewayConfig {
             max_line: 4 * 1024 * 1024,
             read_deadline: Duration::from_secs(10),
             idle_deadline: Duration::from_secs(60),
-            backoff: BackoffConfig::default(),
         }
     }
-}
-
-/// Pacing of a shard's event loop across consecutive no-progress ticks:
-/// first spin (yield only — a byte or worker reply often lands within a
-/// round or two), then a short fixed nap while any request is in flight
-/// (a reply is imminent, latency matters), and an exponentially
-/// escalating nap up to `idle_nap` when every connection is quiescent
-/// (only keep-alives are parked, wake latency is cheap).
-#[derive(Debug, Clone)]
-pub struct BackoffConfig {
-    /// No-progress rounds served with `yield_now` before napping.
-    pub spin_rounds: u32,
-    /// Nap while any request is in flight; also the escalation base.
-    pub nap: Duration,
-    /// Ceiling of the escalating nap when fully idle.
-    pub idle_nap: Duration,
-}
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        Self {
-            spin_rounds: 2,
-            nap: Duration::from_micros(10),
-            idle_nap: Duration::from_millis(1),
-        }
-    }
-}
-
-/// Pause before the next tick after `idle_rounds` consecutive
-/// no-progress rounds (`idle_rounds` starts at 1 on the first such
-/// round): `None` while in the spin phase, the fixed short nap while
-/// `inflight` (never escalates — a worker reply is imminent), and a
-/// doubling nap capped at `idle_nap` when fully idle.
-pub(crate) fn backoff_nap(
-    cfg: &BackoffConfig,
-    idle_rounds: u32,
-    inflight: bool,
-) -> Option<Duration> {
-    if idle_rounds <= cfg.spin_rounds {
-        return None;
-    }
-    if inflight {
-        return Some(cfg.nap.min(cfg.idle_nap));
-    }
-    let doublings = (idle_rounds - cfg.spin_rounds - 1).min(20);
-    Some(cfg.nap.saturating_mul(1 << doublings).min(cfg.idle_nap))
 }
 
 /// Everything a shard's event loop needs.
@@ -158,11 +115,13 @@ impl std::fmt::Debug for Gateway {
 impl Gateway {
     /// Binds `addr` and builds one [`Service`] per shard over the shared
     /// `registry`, wiring reload hooks so a `reload` on any shard
-    /// refreshes every sibling's cache and drift baseline.
+    /// refreshes every sibling's cache and drift baseline, and giving
+    /// each service its shard's wake descriptor.
     ///
     /// # Errors
     ///
-    /// Propagates the bind error.
+    /// Propagates the bind error, or the failure to open a wake
+    /// descriptor.
     pub fn bind(
         addr: &str,
         registry: Arc<ModelRegistry>,
@@ -174,16 +133,19 @@ impl Gateway {
         } else {
             config.shards
         };
-        let services: Vec<Arc<Service>> = (0..shards)
+        let services = (0..shards)
             .map(|i| {
                 // Stamp each service with its shard id so trace-store
                 // span contexts and `/debug` payloads can attribute
                 // requests to the shard that served them.
+                let waker = Waker::new()?;
                 let mut service_config = config.service.clone();
                 service_config.shard = Some(u32::try_from(i).unwrap_or(u32::MAX));
-                Arc::new(Service::new(registry.clone(), service_config))
+                let service = Service::new(registry.clone(), service_config);
+                service.set_waker(waker);
+                Ok(Arc::new(service))
             })
-            .collect();
+            .collect::<io::Result<Vec<_>>>()?;
         for (i, service) in services.iter().enumerate() {
             // Weak siblings: the hook must not keep a reference cycle
             // alive through the services it refreshes.
@@ -250,6 +212,7 @@ impl Gateway {
         }
         let listener = self.listener;
         let accept_stop = stop.clone();
+        let services = self.services.clone();
         threads.push(
             std::thread::Builder::new()
                 .name("gateway-accept".into())
@@ -266,13 +229,13 @@ impl Gateway {
                         let _ = stream.set_nodelay(true);
                         // Accept-time round-robin pins the connection to
                         // one shard for its whole life.
-                        if senders[next % senders.len()].send(stream).is_err() {
+                        let shard = next % senders.len();
+                        if senders[shard].send(stream).is_err() {
                             break;
                         }
+                        wake(&services[shard]);
                         next = next.wrapping_add(1);
                     }
-                    // Dropping the senders lets idle shards observe the
-                    // disconnect and exit.
                 })
                 .expect("spawn acceptor thread"),
         );
@@ -323,6 +286,9 @@ impl GatewayHandle {
 
     fn stop_all(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        for service in self.services.iter() {
+            wake(service);
+        }
         // Poke the listener so a blocking accept observes the flag.
         let _ = TcpStream::connect(self.addr);
         for thread in self.threads.drain(..) {
@@ -339,39 +305,44 @@ impl Drop for GatewayHandle {
     }
 }
 
-/// One shard's event loop: drain newly assigned connections, tick every
-/// live connection, and sleep briefly only when nothing moved.
+/// One shard's event loop. Each round drains the wake descriptor when
+/// the last `poll` reported it, checks `stop`, takes newly assigned
+/// connections, ticks every connection that can move, then sleeps in
+/// `poll` until a socket is ready, the earliest read or idle deadline,
+/// or a wake. Draining first means a wake that lands during the round
+/// ends the next `poll` at once, so no `stop`, connection or worker
+/// reply is missed.
 fn shard_loop(rx: &Receiver<TcpStream>, ctx: &ShardCtx, stop: &AtomicBool) {
+    let waker = ctx
+        .service
+        .waker()
+        .expect("Gateway::bind gives every shard a waker");
     let mut conns: Vec<Conn> = Vec::new();
-    let mut idle_rounds: u32 = 0;
+    let mut fds = vec![PollFd::new(waker.fd(), POLLIN)];
     loop {
+        if fds[0].revents != 0 {
+            waker.drain();
+        }
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        if conns.is_empty() {
-            // Nothing to tick: park (briefly, so `stop` stays
-            // observable) until the acceptor assigns a connection.
-            match rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(stream) => conns.push(Conn::new(stream)),
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => return,
-            }
+        conns.extend(rx.try_iter().map(Conn::new));
+        let now = Instant::now();
+        conns.retain_mut(|conn| !conn.due(now, &ctx.config) || conn.tick(ctx));
+        fds.truncate(1);
+        fds.extend(conns.iter().map(Conn::poll_fd));
+        let deadline = conns.iter().filter_map(|c| c.deadline(&ctx.config)).min();
+        poll::wait(&mut fds, deadline);
+        for (conn, fd) in conns.iter_mut().zip(&fds[1..]) {
+            conn.revents = fd.revents;
         }
-        while let Ok(stream) = rx.try_recv() {
-            conns.push(Conn::new(stream));
-        }
-        let mut progress = false;
-        conns.retain_mut(|conn| conn.tick(ctx, &mut progress));
-        if progress {
-            idle_rounds = 0;
-        } else {
-            idle_rounds = idle_rounds.saturating_add(1);
-            let inflight = conns.iter().any(Conn::has_inflight);
-            match backoff_nap(&ctx.config.backoff, idle_rounds, inflight) {
-                None => std::thread::yield_now(),
-                Some(nap) => std::thread::sleep(nap),
-            }
-        }
+    }
+}
+
+/// Ends the `poll` of `service`'s shard.
+fn wake(service: &Service) {
+    if let Some(waker) = service.waker() {
+        waker.wake();
     }
 }
 
@@ -454,64 +425,4 @@ pub(crate) fn registry_snapshot(service: &Service) -> Value {
         "ensemble_members": snapshot.ensemble_members.clone(),
         "ensemble": snapshot.ensemble.is_some(),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The idle backoff ladder: yield through the spin phase, fixed
-    /// short nap while a request is in flight, doubling nap capped at
-    /// `idle_nap` when fully idle — and an immediate reset to spinning
-    /// once progress clears `idle_rounds`.
-    #[test]
-    fn backoff_ladder_is_pinned() {
-        let cfg = BackoffConfig {
-            spin_rounds: 2,
-            nap: Duration::from_micros(10),
-            idle_nap: Duration::from_micros(160),
-        };
-        // Spin phase: rounds 1..=spin_rounds yield regardless of state.
-        for rounds in 1..=2 {
-            assert_eq!(backoff_nap(&cfg, rounds, false), None);
-            assert_eq!(backoff_nap(&cfg, rounds, true), None);
-        }
-        // In flight: the nap never escalates past the base.
-        for rounds in 3..40 {
-            assert_eq!(
-                backoff_nap(&cfg, rounds, true),
-                Some(Duration::from_micros(10)),
-                "inflight nap must stay fixed at round {rounds}"
-            );
-        }
-        // Fully idle: doubles per round from the base, capped.
-        for (rounds, us) in [(3, 10), (4, 20), (5, 40), (6, 80), (7, 160), (8, 160)] {
-            assert_eq!(
-                backoff_nap(&cfg, rounds, false),
-                Some(Duration::from_micros(us)),
-                "idle nap ladder broken at round {rounds}"
-            );
-        }
-        // Large round counts must not overflow the doubling shift.
-        assert_eq!(
-            backoff_nap(&cfg, u32::MAX, false),
-            Some(Duration::from_micros(160))
-        );
-    }
-
-    /// `idle_nap` bounds every nap, even when misconfigured below the
-    /// in-flight base nap.
-    #[test]
-    fn idle_nap_bounds_inflight_nap() {
-        let cfg = BackoffConfig {
-            spin_rounds: 0,
-            nap: Duration::from_micros(500),
-            idle_nap: Duration::from_micros(100),
-        };
-        assert_eq!(backoff_nap(&cfg, 1, true), Some(Duration::from_micros(100)));
-        assert_eq!(
-            backoff_nap(&cfg, 1, false),
-            Some(Duration::from_micros(100))
-        );
-    }
 }

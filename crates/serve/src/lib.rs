@@ -52,7 +52,7 @@ mod service;
 
 pub use cache::{fnv1a, PredictionCache};
 pub use drift::{DriftConfig, DriftMonitor};
-pub use gateway::{BackoffConfig, Gateway, GatewayConfig, GatewayHandle};
+pub use gateway::{Gateway, GatewayConfig, GatewayHandle};
 pub use metrics::{Metrics, BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_US, ROLLING_WINDOW};
 pub use protocol::{
     error_response, ok_response, Envelope, ErrorCode, Op, PredictEnvelope, Request, ServeError,

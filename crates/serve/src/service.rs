@@ -16,7 +16,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -27,6 +27,7 @@ use serde_json::{json, Value};
 
 use crate::cache::{fnv1a, text_hash, PredictionCache};
 use crate::drift::{baseline_from_snapshot, DriftConfig, DriftMonitor, FeatureRows};
+use crate::gateway::Waker;
 use crate::metrics::Metrics;
 use crate::protocol::{
     error_response, malformed_json, ok_response, Envelope, ErrorCode, Op, PredictEnvelope, Request,
@@ -122,9 +123,25 @@ struct Job {
     /// Filled in by the worker and sent back beside the response.
     record: RequestRecord,
     reply: SyncSender<Reply>,
+    /// Declared after `reply`, so fields drop in an order that sends the
+    /// reply or closes its channel before the submitter is woken.
+    wake: WakeOnDrop,
     /// Span-routing context carried with the job so worker-side spans
     /// land in the request's trace; `None` when the store is off.
     ctx: Option<SpanContext>,
+}
+
+/// Wakes the submitting gateway shard when the job is dropped, however
+/// it ended: answered, expired, or dropped by a dying worker (whose
+/// closed channel `Service::poll` then reports as `worker_dropped`).
+struct WakeOnDrop(Option<Waker>);
+
+impl Drop for WakeOnDrop {
+    fn drop(&mut self) {
+        if let Some(waker) = &self.0 {
+            waker.wake();
+        }
+    }
 }
 
 impl Job {
@@ -184,6 +201,9 @@ pub struct Service {
     /// embedder (the sharded gateway) can refresh sibling services that
     /// share the same registry.
     reload_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+    /// The gateway shard's wake descriptor, woken as each queued job
+    /// ends; unset for in-process embedders.
+    waker: OnceLock<Waker>,
 }
 
 impl std::fmt::Debug for Service {
@@ -248,6 +268,7 @@ impl Service {
             workers: handles,
             slow_requests,
             reload_hook: Mutex::new(None),
+            waker: OnceLock::new(),
         }
     }
 
@@ -461,6 +482,17 @@ impl Service {
         *lock_hook(&self.reload_hook) = Some(Box::new(hook));
     }
 
+    /// Gives the service its gateway shard's wake descriptor; the first
+    /// call wins.
+    pub(crate) fn set_waker(&self, waker: Waker) {
+        let _ = self.waker.set(waker);
+    }
+
+    /// The gateway shard's wake descriptor, if this service has one.
+    pub(crate) fn waker(&self) -> Option<&Waker> {
+        self.waker.get()
+    }
+
     /// Completes the record (parse time, total latency, outcome) and
     /// feeds it to metrics, the `debug` field, the event log and the
     /// trace store. Every response funnels through here exactly once.
@@ -491,7 +523,6 @@ impl Service {
     /// The record's `request` event, plus a `slow_request` event when it
     /// crossed the slow threshold.
     fn emit_events(&self, record: &RequestRecord) {
-        let stages = serde_json::to_string(&stages_json(record)).expect("stages serialise");
         let mut event = paragraph_obs::Event::new("request")
             .str_field("request_id", &record.request_id)
             .str_field("op", record.op)
@@ -499,7 +530,7 @@ impl Service {
             .bool_field("ok", record.ok)
             .bool_field("slow", record.slow)
             .f64_field("latency_us", record.total_us())
-            .raw_field("stages", &stages);
+            .f64_object_field("stages", record.stages.iter());
         // The predict fields `push_predict_fields` gives the `debug`
         // field, written straight into the line rather than through a
         // `Value` each.
@@ -555,10 +586,11 @@ impl Service {
             enqueued: accepted,
             record,
             reply: reply_tx,
+            wake: WakeOnDrop(self.waker.get().cloned()),
             ctx: span_ctx,
         };
         let sender = self.jobs.as_ref().expect("pool alive while service exists");
-        let (job, err) = match sender.try_send(job) {
+        let (mut job, err) = match sender.try_send(job) {
             Ok(()) => {
                 self.metrics.queue_entered();
                 return Ok(reply_rx);
@@ -574,6 +606,8 @@ impl Service {
                 ServeError::new(ErrorCode::Internal, "worker pool is gone"),
             ),
         };
+        // Answered inline: no worker reply to wake for.
+        job.wake.0 = None;
         Err(Box::new((
             error_response(&job.request.id, &err),
             job.record,
@@ -680,8 +714,9 @@ fn lock_hook(
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A record's stages as `{"parse_us": .., ..., "total_us": ..}`: the one
-/// renderer behind the `debug` field, the event and `/debug/traces`.
+/// A record's stages as `{"parse_us": .., ..., "total_us": ..}`, for the
+/// `debug` field and `/debug/traces`; the event writes the same text
+/// straight into its line.
 pub(crate) fn stages_json(record: &RequestRecord) -> Value {
     let mut stages = serde_json::Map::new();
     for (key, us) in record.stages.iter() {
@@ -1190,4 +1225,56 @@ fn erc(request: &Request) -> Result<Value, ServeError> {
         "clean": findings.is_empty(),
         "findings": findings.iter().map(|f| json!(f.describe(&circuit))).collect::<Vec<_>>(),
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::LoadedModels;
+
+    /// The `request` event writes its stages straight into the line, and
+    /// they read exactly as the `debug` field renders them.
+    #[test]
+    fn request_event_stages_match_the_debug_rendering() {
+        let registry = Arc::new(ModelRegistry::from_snapshot(LoadedModels::default()));
+        let service = Service::new(registry, ServiceConfig::default());
+        let mut every = RequestRecord::new("req-stages-every", "predict");
+        let all = [
+            Stage::Parse,
+            Stage::QueueWait,
+            Stage::WindowWait,
+            Stage::CacheLookup,
+            Stage::GraphBuild,
+            Stage::Inference,
+            Stage::Exec,
+            Stage::Total,
+        ];
+        for (i, stage) in all.into_iter().enumerate() {
+            every.stages.set(stage, 0.1 + 1_000.0 * i as f64);
+        }
+        let mut some = RequestRecord::new("req-stages-some", "stats");
+        some.stages.set(Stage::Parse, 12.0);
+        some.stages.set(Stage::Exec, 1e-7);
+        some.stages.set(Stage::Total, 4_567.875);
+
+        let was_enabled = paragraph_obs::events_enabled();
+        paragraph_obs::set_events_enabled(true);
+        service.emit_events(&every);
+        service.emit_events(&some);
+        paragraph_obs::set_events_enabled(was_enabled);
+        let lines = paragraph_obs::take_event_lines();
+        for record in [&every, &some] {
+            let id = format!("\"request_id\":\"{}\"", record.request_id);
+            let line = lines
+                .iter()
+                .find(|l| l.contains(&id) && l.contains("\"kind\":\"request\""))
+                .expect("request event");
+            let start = line.find("\"stages\":").expect("stages field") + "\"stages\":".len();
+            let end = start + line[start..].find('}').expect("stages close") + 1;
+            assert_eq!(
+                line[start..end],
+                serde_json::to_string(&stages_json(record)).expect("stages serialise"),
+            );
+        }
+    }
 }

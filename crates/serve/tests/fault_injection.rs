@@ -199,6 +199,14 @@ fn bad_json_line_keeps_the_connection_open() {
     let good = c.roundtrip(&predict_line(1, NETLIST_A, None));
     assert_eq!(good["ok"].as_bool(), Some(true), "{good:?}");
 
+    // A high surrogate escape followed by a non-surrogate one is
+    // malformed JSON, not a shard-killing panic.
+    let broken = c.roundtrip(&predict_line(2, r"mp o i vdd vdd pch\ud800\u0041", None));
+    assert_eq!(broken["ok"].as_bool(), Some(false), "{broken:?}");
+    assert_eq!(broken["error"]["code"].as_str(), Some("bad_request"));
+    let good = c.roundtrip(&predict_line(3, NETLIST_A, None));
+    assert_eq!(good["ok"].as_bool(), Some(true), "{good:?}");
+
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
