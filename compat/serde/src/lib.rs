@@ -81,6 +81,17 @@ pub trait Deserialize: Sized {
     ///
     /// Returns [`Error`] when the tree does not match `Self`'s shape.
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// Rebuilds `Self` from a value tree it owns, so a type that can
+    /// take the tree apart need not copy it. Defaults to
+    /// [`Deserialize::from_value`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error`] when the tree does not match `Self`'s shape.
+    fn from_owned(v: Value) -> Result<Self, Error> {
+        Self::from_value(&v)
+    }
 }
 
 /// Reads field `key` of `map`, treating a missing key as JSON `null`
@@ -222,6 +233,10 @@ ser_tuple! {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+
+    fn from_owned(v: Value) -> Result<Self, Error> {
+        Ok(v)
     }
 }
 

@@ -333,15 +333,23 @@ fn write_string(out: &mut String, s: &str) {
 // Parsing
 // ---------------------------------------------------------------------
 
+/// Deepest nesting of arrays and objects a document may have, as in
+/// `serde_json`: the parser recurses once per level, so deeper input is
+/// an error rather than a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`].
 ///
 /// # Errors
 ///
-/// Returns [`Error`] with a byte offset on malformed input.
+/// Returns [`Error`] with a byte offset on malformed input, or on
+/// arrays and objects nested more than 128 deep.
 pub fn parse_json_text(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -353,8 +361,13 @@ pub fn parse_json_text(text: &str) -> Result<Value, Error> {
 }
 
 struct Parser<'a> {
+    /// The input; string runs are sliced out of it.
+    text: &'a str,
+    /// `text` as bytes, which the parser scans.
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -397,11 +410,23 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
         }
+    }
+
+    /// Runs `container` one nesting level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -429,11 +454,11 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Value, Error> {
         self.expect(b'{')?;
-        let mut map = Map::new();
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(Value::Object(Map { entries: members }));
         }
         loop {
             self.skip_ws();
@@ -442,13 +467,13 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(map));
+                    return Ok(Value::Object(dedup_members(members)));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -457,17 +482,13 @@ impl Parser<'_> {
 
     fn string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = String::with_capacity(unescaped_len_bound(&self.bytes[self.pos..]));
         loop {
             let start = self.pos;
-            // Fast path: run of plain bytes.
-            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\') {
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8"))?,
-            );
+            self.pos += find_quote_or_backslash(&self.bytes[start..]);
+            // `"` and `\` are ASCII, so the run ends on a char boundary
+            // of the (already valid UTF-8) input.
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -569,6 +590,83 @@ impl Parser<'_> {
     }
 }
 
+/// Offset of the first `"` or `\` in `bytes`, or `bytes.len()` when it
+/// has none, looked for 8 bytes at a time.
+fn find_quote_or_backslash(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    // Flags the bytes of `w` that are zero. A borrow can also flag a
+    // byte above a zero one, so only the lowest flag is exact.
+    let zero_bytes = |w: u64| w.wrapping_sub(ONES) & !w & HIGHS;
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("chunks of 8"));
+        let hits =
+            zero_bytes(w ^ (ONES * u64::from(b'"'))) | zero_bytes(w ^ (ONES * u64::from(b'\\')));
+        if hits != 0 {
+            return i * 8 + hits.trailing_zeros() as usize / 8;
+        }
+    }
+    let tail = words.remainder();
+    bytes.len() - tail.len()
+        + tail
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(tail.len())
+}
+
+/// An upper bound on the unescaped length of the string whose body
+/// `bytes` starts: its bytes up to the closing quote, less the byte
+/// after each `\` (an escape never unescapes to more bytes than it
+/// spans, less one). Sizing the string once leaves it no doubling slack.
+fn unescaped_len_bound(bytes: &[u8]) -> usize {
+    let (mut pos, mut escapes) = (0, 0);
+    loop {
+        pos += find_quote_or_backslash(&bytes[pos..]);
+        if bytes.get(pos) != Some(&b'\\') {
+            return pos - escapes;
+        }
+        escapes += 1;
+        pos = (pos + 2).min(bytes.len());
+    }
+}
+
+/// The map of an object's `members` in order. A duplicated key keeps its
+/// first position and takes its last value, which is what inserting them
+/// one by one would give, in O(n log n) rather than O(n²).
+fn dedup_members(mut members: Vec<(String, Value)>) -> Map {
+    // Positions sorted by (key, position): a duplicated key is a run.
+    let mut order: Vec<usize> = (0..members.len()).collect();
+    order.sort_unstable_by(|&a, &b| members[a].0.cmp(&members[b].0).then(a.cmp(&b)));
+    // Each run's first position takes its last value; the positions
+    // after it are gathered at the front of `order` and dropped.
+    let (mut run, mut dropped) = (0, 0);
+    while run < order.len() {
+        let key = &members[order[run]].0;
+        let len = order[run..]
+            .iter()
+            .take_while(|&&i| members[i].0 == *key)
+            .count();
+        if len > 1 {
+            let last = std::mem::replace(&mut members[order[run + len - 1]].1, Value::Null);
+            members[order[run]].1 = last;
+            order.copy_within(run + 1..run + len, dropped);
+            dropped += len - 1;
+        }
+        run += len;
+    }
+    order.truncate(dropped);
+    order.sort_unstable();
+    let mut dropped = order.into_iter().peekable();
+    let mut position = 0;
+    members.retain(|_| {
+        let keep = dropped.next_if_eq(&position).is_none();
+        position += 1;
+        keep
+    });
+    Map { entries: members }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,6 +703,112 @@ mod tests {
     fn malformed_inputs_rejected() {
         for bad in ["{", "[1,", "\"abc", "{\"a\" 1}", "tru", "1.2.3", "[] []"] {
             assert!(parse_json_text(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_128_levels_is_an_error_not_a_stack_overflow() {
+        let nest = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(parse_json_text(&nest(128)).is_ok());
+        let objects = "{\"a\":".repeat(128) + "1" + &"}".repeat(128);
+        assert!(parse_json_text(&objects).is_ok());
+        for levels in [129, 1_000_000] {
+            let err = parse_json_text(&nest(levels)).expect_err("too deep");
+            assert_eq!(err.to_string(), "recursion limit exceeded at byte 128");
+        }
+        let err = parse_json_text(&format!("{{\"netlist\":{}", "[".repeat(20_000)))
+            .expect_err("too deep");
+        assert_eq!(err.to_string(), "recursion limit exceeded at byte 138");
+    }
+
+    #[test]
+    fn duplicate_keys_keep_the_first_position_and_the_last_value() {
+        let v = parse_json_text(r#"{"b": 1, "a": 2, "b": 3, "c": 4, "a": 5, "b": 6}"#).unwrap();
+        let members: Vec<(&str, u64)> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_u64().unwrap()))
+            .collect();
+        assert_eq!(members, [("b", 6), ("a", 5), ("c", 4)]);
+        // The same members inserted one by one give the same map.
+        let mut inserted = Map::new();
+        for (k, u) in [("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 5), ("b", 6)] {
+            inserted.insert(k, Value::Number(Number::U(u)));
+        }
+        assert_eq!(v, Value::Object(inserted));
+    }
+
+    #[test]
+    fn word_scan_finds_every_quote_and_backslash_offset() {
+        // Multi-byte UTF-8 around the target, with 0xA2 ('¢' = C2 A2)
+        // and 0xDC ('ܐ' = DC 90): `"` and `\` with the top bit set.
+        let filler = "a¢ܐ€😀".repeat(16);
+        for target in [b'"', b'\\'] {
+            for offset in 0..=40 {
+                let mut bytes = filler.as_bytes()[..offset].to_vec();
+                // A borrow out of the target's byte falsely flags a `#`
+                // (`"` ^ 1) or `]` (`\` ^ 1) above it; the `"` and `\`
+                // after them are true but later hits.
+                bytes.extend([target, b'#', b']', b'"', b'\\']);
+                bytes.extend_from_slice(filler.as_bytes());
+                let by_bytes = bytes.iter().position(|&b| b == b'"' || b == b'\\');
+                assert_eq!(Some(find_quote_or_backslash(&bytes)), by_bytes, "{offset}");
+                assert_eq!(by_bytes, Some(offset));
+            }
+        }
+        let plain = filler.as_bytes();
+        for len in 0..=40 {
+            assert_eq!(find_quote_or_backslash(&plain[..len]), len);
+        }
+    }
+
+    #[test]
+    fn strings_roundtrip_through_escapes() {
+        // Quotes, backslashes, control characters, and 1- to 4-byte
+        // UTF-8, with `"` and `\` in the top-bit-set bytes of '¢' and 'ܐ'.
+        let alphabet: Vec<char> = "\"\\\n\r\t\u{8}\u{c}\u{1}\u{1f}a é¢ܐ€日😀\u{10FFFF}"
+            .chars()
+            .collect();
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        for _ in 0..500 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let len = (state % 40) as usize;
+            let s: String = (0..len)
+                .map(|i| alphabet[(state >> (i % 50)) as usize % alphabet.len()])
+                .collect();
+            let text = to_json_text(&Value::String(s.clone()), false);
+            let parsed = parse_json_text(&text).unwrap();
+            assert_eq!(parsed.as_str(), Some(s.as_str()), "{text}");
+            assert!(
+                s.len() <= unescaped_len_bound(&text.as_bytes()[1..]),
+                "{text}"
+            );
+        }
+        // Escapes that the printer never writes.
+        let v = parse_json_text(r#""\/é€😀""#).unwrap();
+        assert_eq!(v.as_str(), Some("/é€😀"));
+    }
+
+    #[test]
+    fn malformed_strings_report_the_same_errors_and_offsets() {
+        for (text, want) in [
+            (r#""abc"#, "unterminated string at byte 4"),
+            (r#""0123456789abcdefg"#, "unterminated string at byte 18"),
+            ("\"日本", "unterminated string at byte 7"),
+            (r#""ab\q""#, "unknown escape at byte 5"),
+            ("\"ü\\q\"", "unknown escape at byte 5"),
+            (r#""abc\"#, "unterminated escape at byte 5"),
+            (r#""\u12G4""#, "invalid \\u escape at byte 3"),
+            (r#""\u12"#, "truncated \\u escape at byte 3"),
+            (r#""\udc00""#, "invalid \\u escape at byte 7"),
+            (r#""\ud800x""#, "unpaired surrogate at byte 7"),
+            (r#""0123456789\ud800A""#, "unpaired surrogate at byte 17"),
+        ] {
+            let err = parse_json_text(text).expect_err(text);
+            assert_eq!(err.to_string(), want, "{text}");
         }
     }
 

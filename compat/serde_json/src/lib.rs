@@ -32,8 +32,7 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
 ///
 /// Returns [`Error`] on malformed JSON or a shape mismatch.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let value = serde::value::parse_json_text(text)?;
-    T::from_value(&value)
+    T::from_owned(serde::value::parse_json_text(text)?)
 }
 
 /// Converts any serialisable value into a [`Value`] tree.

@@ -237,14 +237,14 @@ impl Conn {
                     "deadline_exceeded",
                     "timed out waiting for a complete request",
                 );
-                self.out.extend_from_slice(&http::response(
+                self.push_http(
                     408,
                     "Request Timeout",
                     "application/json",
                     &body,
                     false,
                     &[],
-                ));
+                );
             }
         }
         self.buf.clear();
@@ -343,16 +343,8 @@ impl Conn {
                             message,
                         } => {
                             let body = http::error_body("bad_request", &message);
-                            self.out.extend_from_slice(&http::response(
-                                status,
-                                reason,
-                                "application/json",
-                                &body,
-                                false,
-                                &[],
-                            ));
+                            self.push_http(status, reason, "application/json", &body, false, &[]);
                             self.buf.clear();
-                            self.close_after_flush = true;
                             *active = true;
                         }
                         HttpParse::Ok { req, consumed } => {
@@ -579,14 +571,15 @@ impl Conn {
         keep_alive: bool,
         extra: &[&str],
     ) {
-        self.out.extend_from_slice(&http::response(
+        http::write_response(
+            &mut self.out,
             status,
             reason,
             content_type,
             body,
             keep_alive,
             extra,
-        ));
+        );
         if !keep_alive {
             self.close_after_flush = true;
         }

@@ -5,6 +5,8 @@
 //! error status rather than a guess (`Transfer-Encoding` → 501,
 //! unsupported version → 505, oversized → 413/431).
 
+use std::io::Write;
+
 /// One fully received request, borrowed views resolved into owned data
 /// so the connection buffer can be drained immediately.
 #[derive(Debug, PartialEq)]
@@ -175,30 +177,36 @@ pub fn parse(buf: &[u8], max_header: usize, max_body: usize) -> HttpParse {
 }
 
 /// Offset one past the blank line ending the head, accepting bare-LF
-/// line endings alongside CRLF.
+/// line endings alongside CRLF. The search stops at the first blank
+/// line, so a partly arrived body is never read.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
-    let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4);
-    let lf = buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2);
-    match (crlf, lf) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
+    buf.iter()
+        .enumerate()
+        .find_map(|(j, &b)| match (b, &buf[j + 1..]) {
+            (b'\n', [b'\n', ..]) => Some(j + 2),
+            (b'\n', [b'\r', b'\n', ..]) if j > 0 && buf[j - 1] == b'\r' => Some(j + 3),
+            _ => None,
+        })
 }
 
-/// Encodes one response with `Content-Length` framing. `extra_headers`
-/// lines are verbatim `Name: value` pairs (no trailing CRLF).
-pub fn response(
+/// Appends one response with `Content-Length` framing to `out`.
+/// `extra_headers` lines are verbatim `Name: value` pairs (no trailing
+/// CRLF).
+pub fn write_response(
+    out: &mut Vec<u8>,
     status: u16,
     reason: &str,
     content_type: &str,
     body: &[u8],
     keep_alive: bool,
     extra_headers: &[&str],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128 + body.len());
-    out.extend_from_slice(format!("HTTP/1.1 {status} {reason}\r\n").as_bytes());
-    out.extend_from_slice(format!("Content-Type: {content_type}\r\n").as_bytes());
-    out.extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
+) {
+    write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
+        body.len()
+    )
+    .expect("writing to a Vec cannot fail");
     for header in extra_headers {
         out.extend_from_slice(header.as_bytes());
         out.extend_from_slice(b"\r\n");
@@ -208,7 +216,6 @@ pub fn response(
     }
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body);
-    out
 }
 
 /// A JSON error body shaped like the line protocol's error envelope, so
@@ -363,15 +370,51 @@ mod tests {
         }
     }
 
+    /// The two-window search `find_head_end` replaced: the earlier end
+    /// of the first `\r\n\r\n` and the first `\n\n`.
+    fn head_end_by_windows(buf: &[u8]) -> Option<usize> {
+        let crlf = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4);
+        let lf = buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2);
+        match (crlf, lf) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    #[test]
+    fn head_end_matches_the_two_window_search() {
+        // Every buffer of up to 11 bytes drawn from {CR, LF, 'a'}.
+        let mut buf = Vec::new();
+        for len in 0..=11 {
+            for code in 0..3_usize.pow(len) {
+                buf.clear();
+                buf.extend((0..len).map(|i| b"\r\na"[code / 3_usize.pow(i) % 3]));
+                assert_eq!(find_head_end(&buf), head_end_by_windows(&buf), "{buf:?}");
+            }
+        }
+        // A body holding blank lines of either kind never moves the end.
+        for head in [
+            "POST / HTTP/1.1\r\nA: b\r\n\r\n",
+            "POST / HTTP/1.1\nA: b\n\n",
+        ] {
+            let buf = format!("{head}x\n\ny\r\n\r\nz\n\n");
+            assert_eq!(find_head_end(buf.as_bytes()), Some(head.len()));
+            assert_eq!(head_end_by_windows(buf.as_bytes()), Some(head.len()));
+        }
+    }
+
     #[test]
     fn response_encoding_framing() {
-        let r = response(200, "OK", "application/json", b"{}", true, &[]);
+        let mut r = Vec::new();
+        write_response(&mut r, 200, "OK", "application/json", b"{}", true, &[]);
         let text = String::from_utf8(r).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(!text.contains("Connection: close"));
         assert!(text.ends_with("\r\n\r\n{}"));
-        let r = response(
+        let mut r = Vec::new();
+        write_response(
+            &mut r,
             503,
             "Service Unavailable",
             "application/json",

@@ -6,9 +6,10 @@
 
 mod common;
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{
     build_model_dir, predict_line, start_gateway, test_service_config, HttpClient, LineClient,
@@ -181,6 +182,16 @@ fn garbage_bytes_get_400_and_fresh_connections_recover() {
     let v = LineClient::connect(handle.addr()).roundtrip(&predict_line(7, NETLIST_A, None));
     assert_eq!(v["ok"].as_bool(), Some(true), "{v:?}");
 
+    // A body nested past the parser's depth limit is a 400, not a
+    // stack overflow that aborts every shard, and the connection stays
+    // open.
+    let mut c = HttpClient::connect(handle.addr());
+    let r = c.post_json("/predict", &deep_json());
+    assert_eq!(r.status, 400);
+    assert_eq!(r.json()["error"]["code"].as_str(), Some("bad_request"));
+    let r = c.post_json("/predict", &predict_line(8, NETLIST_A, None));
+    assert_eq!(r.status, 200);
+
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -206,6 +217,59 @@ fn bad_json_line_keeps_the_connection_open() {
     assert_eq!(broken["error"]["code"].as_str(), Some("bad_request"));
     let good = c.roundtrip(&predict_line(3, NETLIST_A, None));
     assert_eq!(good["ok"].as_bool(), Some(true), "{good:?}");
+
+    // So is a line nested past the parser's depth limit.
+    let deep = c.roundtrip(&deep_json());
+    assert_eq!(
+        deep["error"]["code"].as_str(),
+        Some("bad_request"),
+        "{deep:?}"
+    );
+    let good = c.roundtrip(&predict_line(4, NETLIST_A, None));
+    assert_eq!(good["ok"].as_bool(), Some(true), "{good:?}");
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A ~20 kB request whose netlist opens 20,000 arrays.
+fn deep_json() -> String {
+    format!("{{\"netlist\":{}", "[".repeat(20_000))
+}
+
+#[test]
+fn an_object_with_many_members_does_not_stall_its_shard() {
+    let (dir, _ensemble) = build_model_dir("wide");
+    // One shard: the wide body and the predict share an event loop.
+    let handle = start_gateway(&dir, abuse_config(1));
+    let mut wide = HttpClient::connect(handle.addr());
+    let mut good = HttpClient::connect(handle.addr());
+
+    // ~1 MB, a quarter of the default body limit.
+    let mut body = String::from(r#"{"op": "predict""#);
+    for i in 0..80_000 {
+        write!(body, r#","m{i}":0"#).unwrap();
+    }
+    body.push('}');
+    wide.stream
+        .write_all(
+            format!(
+                "POST /predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .expect("write wide body");
+
+    let started = Instant::now();
+    let r = good.post_json("/predict", &predict_line(1, NETLIST_A, None));
+    assert_eq!(r.status, 200);
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(5), "predict waited {waited:?}");
+
+    let r = wide.read_response().expect("wide body answered");
+    assert_eq!(r.status, 400);
+    assert_eq!(r.json()["error"]["code"].as_str(), Some("bad_request"));
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -66,7 +66,7 @@ fn settle() {
 
 /// Allocations one exact repeat may make, whatever the deck's size.
 /// What remains is the request's JSON parse, the job and its reply
-/// channel, the request record and the envelope: ~32 per repeat, ~45
+/// channel, the request record and the envelope: ~16 per repeat, ~27
 /// with tracing, the event log and the trace store all on. Copying and
 /// re-rendering the cached result made ~2.5 per device (~1,160 on the
 /// smaller deck).
