@@ -13,7 +13,7 @@ use paragraph_netlist::Circuit;
 
 use crate::graphbuild::{build_graph, CircuitGraph};
 use crate::pipeline::{
-    elapsed_us, CircuitPredictions, PredictProfile, PreparedCircuit, TargetModel,
+    elapsed_us, map_circuits, CircuitPredictions, PredictProfile, PreparedCircuit, TargetModel,
 };
 use crate::targets::Target;
 
@@ -213,53 +213,52 @@ impl CapEnsemble {
     }
 
     /// Predicts every net's capacitance for several fresh schematics.
-    /// Each circuit's graph and its message plan are built once; before
-    /// each member predicts, the graphs' features are renormalised from
-    /// the raw rows with that member's own `FeatureNorm` (members may
-    /// carry different feature normalisations). Each member runs one
-    /// forward pass over the circuits' block-diagonal
-    /// [`paragraph_gnn::GraphBatch`] union (a lone circuit runs on its
-    /// own graph), and Algorithm 2 then selects per net, per circuit.
+    /// Each circuit runs its lone path as one step on the
+    /// [`paragraph_runtime::global`] pool, so every answer is exactly
+    /// its lone answer.
     ///
     /// Returns the predictions (indexed by net id, `None` on rails), the
-    /// wall-clock split between the graph builds plus every member's
-    /// renormalisation and every member's forward pass, and per circuit
-    /// how many nets each member won (ascending `max_v` order). The
-    /// predictions equal predicting each circuit alone.
+    /// stage timings (per stage, the longest any one circuit spent in
+    /// it), and per circuit how many nets each member won (ascending
+    /// `max_v` order).
     pub fn predict_circuits(
         &self,
         circuits: &[&Circuit],
     ) -> (CircuitPredictions, PredictProfile, Vec<Vec<u64>>) {
+        let (steps, profile) = map_circuits(circuits, |c| self.predict_one(c));
+        let (preds, selected) = steps.into_iter().unzip();
+        (preds, profile, selected)
+    }
+
+    /// One circuit's lone path. Its graph and message plan are built
+    /// once; before each member predicts, the features are renormalised
+    /// from the raw rows with that member's own `FeatureNorm` (members
+    /// may carry different feature normalisations), and Algorithm 2 then
+    /// selects per net: its predictions and how many nets each member
+    /// won. The profile sums the graph build with every member's
+    /// renormalisation, and every member's forward pass.
+    fn predict_one(&self, circuit: &Circuit) -> ((Vec<Option<f64>>, Vec<u64>), PredictProfile) {
         let started = Instant::now();
-        let mut cgs: Vec<CircuitGraph> = circuits.iter().map(|c| build_graph(c)).collect();
+        let mut cg = build_graph(circuit);
         let mut profile = PredictProfile {
             graph_build_us: elapsed_us(started),
             inference_us: 0.0,
         };
-        // per_model[m][c][net]
-        let per_model: Vec<Vec<Vec<Option<f64>>>> = self
+        let per_model: Vec<Vec<Option<f64>>> = self
             .models
             .iter()
             .map(|m| {
                 let started = Instant::now();
-                for cg in &mut cgs {
-                    cg.normalize(&m.norm);
-                }
+                cg.normalize(&m.norm);
                 profile.graph_build_us += elapsed_us(started);
                 let started = Instant::now();
-                let preds = m.predict_graphs(circuits, &cgs);
+                let preds = m.predict_graph(circuit, &cg);
                 profile.inference_us += elapsed_us(started);
                 preds
             })
             .collect();
-        let (preds, selected) = (0..circuits.len())
-            .map(|c| {
-                let per_member: Vec<&[Option<f64>]> =
-                    per_model.iter().map(|pm| pm[c].as_slice()).collect();
-                self.select_nets(&per_member)
-            })
-            .unzip();
-        (preds, profile, selected)
+        let per_member: Vec<&[Option<f64>]> = per_model.iter().map(Vec::as_slice).collect();
+        (self.select_nets(&per_member), profile)
     }
 }
 
@@ -386,9 +385,9 @@ mod tests {
         );
     }
 
-    /// Batched prediction over the block-diagonal union must equal the
-    /// per-circuit path exactly — same graphs, same accumulation order,
-    /// same floats.
+    /// Several circuits fanned out over the pool must each equal the
+    /// lone path exactly — same graphs, same accumulation order, same
+    /// floats.
     #[test]
     fn batched_prediction_matches_sequential() {
         let ens = CapEnsemble::new(tiny_models(&[1e-15, 10e-15, 100e-15]));

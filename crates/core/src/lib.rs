@@ -72,6 +72,10 @@ pub use graphbuild::{
     TerminalClass, EDGE_CLASSES, NUM_EDGE_TYPES,
 };
 pub use paragraph_exec::{CompileError, Precision};
+/// The shared worker pool that [`TargetModel::predict_circuits`] and
+/// [`CapEnsemble::predict_circuits`] fan out on, for embedders that
+/// spread their own per-circuit work over the same threads.
+pub use paragraph_runtime as runtime;
 pub use persist::{LoadModelError, SavedModel};
 pub use pipeline::{
     evaluate_model, fit_norm, normalize_circuits, precision_default, prepare_circuits,

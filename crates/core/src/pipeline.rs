@@ -223,12 +223,47 @@ pub type CircuitPredictions = Vec<Vec<Option<f64>>>;
 /// [`crate::CapEnsemble::predict_circuits`] call, split at the stage
 /// boundary the serving layer reports: graph construction +
 /// normalisation vs the GNN forward pass (including unscale/scatter).
+/// The circuits of a call run their steps concurrently, so each stage
+/// is the longest any one circuit spent in it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PredictProfile {
     /// Time spent building and normalising the circuit graph, µs.
     pub graph_build_us: f64,
     /// Time spent in the forward pass and prediction scatter, µs.
     pub inference_us: f64,
+}
+
+/// Runs `step` on every circuit on the [`paragraph_runtime::global`]
+/// pool, in the caller's span context. Returns the results in circuit
+/// order and, per stage, the longest time any one step spent in it; a
+/// lone circuit runs inline. Steps share nothing, so each result is the
+/// one `step` gives that circuit alone.
+pub(crate) fn map_circuits<R: Send>(
+    circuits: &[&Circuit],
+    step: impl Fn(&Circuit) -> (R, PredictProfile) + Sync,
+) -> (Vec<R>, PredictProfile) {
+    let steps = if let [circuit] = circuits {
+        vec![step(circuit)]
+    } else {
+        // Each step takes exactly the caller's span context, none
+        // included: its spans reach the caller's traces wherever it
+        // runs, and never those of a thread that helps while it waits.
+        let ctx = paragraph_obs::SpanContext::current();
+        paragraph_runtime::global().map(circuits, |_, circuit| {
+            let _ctx = paragraph_obs::SpanContext::enter_exactly(ctx.as_ref());
+            step(circuit)
+        })
+    };
+    let mut longest = PredictProfile::default();
+    let results = steps
+        .into_iter()
+        .map(|(result, profile)| {
+            longest.graph_build_us = longest.graph_build_us.max(profile.graph_build_us);
+            longest.inference_us = longest.inference_us.max(profile.inference_us);
+            result
+        })
+        .collect();
+    (results, longest)
 }
 
 impl TargetModel {
@@ -469,60 +504,39 @@ impl TargetModel {
     /// Predicts every applicable node of several fresh schematics, laid
     /// out per circuit like [`TargetModel::predict_circuit`], with the
     /// wall-clock split between building and normalising the graphs and
-    /// the forward pass. Several circuits share one forward pass over
-    /// their block-diagonal [`paragraph_gnn::GraphBatch`] union; the
-    /// results are exactly equal to predicting each circuit alone.
+    /// the forward pass. Each circuit is one step on the
+    /// [`paragraph_runtime::global`] pool: build and normalise its
+    /// graph, run a one-member forward on the executor's pooled batch
+    /// scratch, scatter. No circuit sees another's rows, so each answer
+    /// is exactly its lone answer at every precision.
     pub fn predict_circuits(&self, circuits: &[&Circuit]) -> (CircuitPredictions, PredictProfile) {
+        map_circuits(circuits, |c| self.predict_one(c))
+    }
+
+    /// One circuit's [`TargetModel::predict_circuits`] step. The pooled
+    /// batch scratch rebuilds the graph and its message plan in place,
+    /// so a warmed step allocates no plan of its own.
+    fn predict_one(&self, circuit: &Circuit) -> (Vec<Option<f64>>, PredictProfile) {
         let started = Instant::now();
-        let cgs: Vec<CircuitGraph> = circuits
-            .iter()
-            .map(|c| {
-                let mut cg = build_graph(c);
-                cg.normalize(&self.norm);
-                cg
-            })
-            .collect();
+        let mut cg = build_graph(circuit);
+        cg.normalize(&self.norm);
         let graph_build_us = elapsed_us(started);
         let started = Instant::now();
-        let preds = self.predict_graphs(circuits, &cgs);
+        let nodes = self.query_nodes(circuit, &cg);
+        let mut scores = Vec::new();
+        if !nodes.is_empty() {
+            self.executor().predict_batch_into(
+                &[&cg.graph],
+                std::slice::from_ref(&nodes),
+                &mut scores,
+            );
+        }
+        let preds = self.scatter_predictions(circuit, &cg, &scores);
         let profile = PredictProfile {
             graph_build_us,
             inference_us: elapsed_us(started),
         };
         (preds, profile)
-    }
-
-    /// [`TargetModel::predict_circuits`] over graphs already built and
-    /// normalised with this model's `norm` (`cgs[i]` is `circuits[i]`'s).
-    pub(crate) fn predict_graphs(
-        &self,
-        circuits: &[&Circuit],
-        cgs: &[CircuitGraph],
-    ) -> Vec<Vec<Option<f64>>> {
-        match circuits {
-            [] => return Vec::new(),
-            [c] => return vec![self.predict_graph(c, &cgs[0])],
-            _ => {}
-        }
-        let _span = paragraph_obs::span!("predict_circuits", circuits = circuits.len());
-        let graphs: Vec<&HeteroGraph> = cgs.iter().map(|cg| &cg.graph).collect();
-        let per_circuit: Vec<Vec<u32>> = circuits
-            .iter()
-            .zip(cgs)
-            .map(|(c, cg)| self.query_nodes(c, cg))
-            .collect();
-        let scores = self.predict_scores_batch(&graphs, &per_circuit);
-        let mut off = 0;
-        circuits
-            .iter()
-            .zip(cgs)
-            .zip(&per_circuit)
-            .map(|((c, cg), nodes)| {
-                let own = &scores[off..off + nodes.len()];
-                off += nodes.len();
-                self.scatter_predictions(c, cg, own)
-            })
-            .collect()
     }
 
     /// Global ids of the nodes this model's target applies to.
@@ -674,20 +688,6 @@ impl TargetModel {
             return Vec::new();
         }
         self.executor().predict(graph, nodes)
-    }
-
-    /// Scaled-space forward pass over several graphs at once, returning
-    /// the per-graph predictions concatenated in member order. The
-    /// executor's pooled scratch rebuilds the block-diagonal union
-    /// (graph, plan, and node gather) in place — zero steady-state heap
-    /// allocation per batch.
-    fn predict_scores_batch(&self, graphs: &[&HeteroGraph], per_graph: &[Vec<u32>]) -> Vec<f32> {
-        let mut out = Vec::new();
-        if per_graph.iter().any(|nodes| !nodes.is_empty()) {
-            self.executor()
-                .predict_batch_into(graphs, per_graph, &mut out);
-        }
-        out
     }
 }
 
@@ -1096,28 +1096,44 @@ mod tests {
         }
     }
 
-    /// `predict_circuits` runs one forward pass over the block-diagonal
-    /// batch; the per-circuit split-back must equal `predict_circuit`
-    /// float for float, for net and device targets alike.
+    /// `predict_circuits` runs each circuit's own one-member batch
+    /// forward on the pool; every per-circuit answer must equal
+    /// `predict_graph` (the executor's single-graph `predict` path, the
+    /// one the ensemble takes) float for float, for net and device
+    /// targets alike, and at int8 without a calibration table, where
+    /// each site scales by its live max-abs.
     #[test]
     fn batched_circuit_prediction_matches_sequential() {
         let prepared = tiny_dataset();
         let norm = FeatureNorm::identity();
-        for (target, kind) in [
-            (Target::Cap, GnnKind::ParaGraph),
-            (Target::Sa, GnnKind::Gcn),
+        let circuits: Vec<&paragraph_netlist::Circuit> =
+            prepared.iter().map(|pc| &pc.circuit).collect();
+        for (target, kind, uncalibrated_int8) in [
+            (Target::Cap, GnnKind::ParaGraph, false),
+            (Target::Sa, GnnKind::Gcn, false),
+            (Target::Cap, GnnKind::ParaGraph, true),
         ] {
             let mut fit = FitConfig::quick(kind);
             fit.epochs = 3;
-            let (model, _) = TargetModel::train(&prepared, target, None, fit, &norm);
-            let circuits: Vec<&paragraph_netlist::Circuit> =
-                prepared.iter().map(|pc| &pc.circuit).collect();
+            let (mut model, _) = TargetModel::train(&prepared, target, None, fit, &norm);
+            if uncalibrated_int8 {
+                model.precision = Some(Precision::Int8);
+                model.calibration = None;
+            }
+            let label = format!(
+                "{} {} at {}",
+                kind.name(),
+                target.name(),
+                model.effective_precision()
+            );
             let (batched, profile) = model.predict_circuits(&circuits);
             assert_eq!(batched.len(), circuits.len());
             assert!(profile.graph_build_us > 0.0 && profile.inference_us > 0.0);
             for (pc, got) in prepared.iter().zip(&batched) {
-                let sequential = model.predict_circuit(&pc.circuit);
-                assert_eq!(&sequential, got, "{} on {}", target.name(), pc.name);
+                let mut cg = build_graph(&pc.circuit);
+                cg.normalize(&model.norm);
+                let lone = model.predict_graph(&pc.circuit, &cg);
+                assert_eq!(&lone, got, "{label} on {}", pc.name);
             }
         }
         // Degenerate widths: nothing in, nothing out; one circuit takes

@@ -30,8 +30,8 @@
 //!   (decide keep/drop after the outcome is known: slow, error, shed,
 //!   and OOD requests always kept, the rest sampled 1-in-N). Worker
 //!   threads tag their spans with a [`SpanContext`] so one request's
-//!   spans assemble into one tree across threads and batched forward
-//!   passes. Each retained trace keeps the request's [`RequestRecord`].
+//!   spans assemble into one tree across threads and batches. Each
+//!   retained trace keeps the request's [`RequestRecord`].
 //!   Gated by `PARAGRAPH_TRACE_STORE` / [`set_store_enabled`]; the
 //!   gateway serves it live under `/debug/traces`.
 //! * **Rolling quantiles** — [`RollingQuantile`] keeps a fixed-size

@@ -8,7 +8,7 @@
 //! * [`SpanContext`] — a cheap, cloneable tag (request ids + shard)
 //!   that a thread [`enter`](SpanContext::enter)s while working on a
 //!   request. Every span recorded while a context is entered — across
-//!   the submitting thread, the worker pool, and a batched forward pass
+//!   the submitting thread, the worker pool, and the forwards of a batch
 //!   covering many requests at once — is routed to the per-request
 //!   trace of **each** request id in the context, so one request's
 //!   parse → queue → window wait → batch assemble → inference spans
@@ -113,8 +113,9 @@ pub fn set_store_enabled(on: bool) {
 }
 
 thread_local! {
-    /// Stack of entered contexts; spans route to the innermost one.
-    static CTX_STACK: RefCell<Vec<SpanContext>> = const { RefCell::new(Vec::new()) };
+    /// Stack of entered contexts; spans route to the innermost one. A
+    /// `None` entry hides the contexts below it.
+    static CTX_STACK: RefCell<Vec<Option<SpanContext>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Whether spans on this thread should route to the trace store: the
@@ -124,13 +125,13 @@ thread_local! {
 pub(crate) fn collecting() -> bool {
     store_enabled()
         && CTX_STACK
-            .try_with(|stack| !stack.borrow().is_empty())
+            .try_with(|stack| matches!(stack.borrow().last(), Some(Some(_))))
             .unwrap_or(false)
 }
 
 /// The request identity a thread is currently working on: one request
-/// id for single-request stages, several for a batched forward pass
-/// that serves many requests at once, plus the owning gateway shard.
+/// id for single-request stages, several for the batched work that
+/// serves many requests at once, plus the owning gateway shard.
 ///
 /// Cloning is cheap (the id list is shared); [`enter`](Self::enter)
 /// pushes the context onto a thread-local stack for the lifetime of the
@@ -153,7 +154,7 @@ impl SpanContext {
     }
 
     /// A context covering every member of a batched execution; spans
-    /// recorded under it (batch assemble, the fused forward pass) are
+    /// recorded under it (batch assemble, the members' forwards) are
     /// attributed to **each** member request's trace.
     pub fn batch<I, S>(request_ids: I, shard: Option<u32>) -> Self
     where
@@ -179,7 +180,16 @@ impl SpanContext {
     /// Enters the context on the current thread until the returned
     /// guard drops. Contexts nest; the innermost wins.
     pub fn enter(&self) -> ContextGuard {
-        let _ = CTX_STACK.try_with(|stack| stack.borrow_mut().push(self.clone()));
+        Self::enter_exactly(Some(self))
+    }
+
+    /// Enters `ctx`, or for `None` hides the contexts the thread has
+    /// entered, until the returned guard drops: the spans recorded
+    /// meanwhile reach exactly `ctx`'s traces. A pool job takes its
+    /// submitter's context this way, because the thread that runs it
+    /// may be waiting inside another request's context.
+    pub fn enter_exactly(ctx: Option<&SpanContext>) -> ContextGuard {
+        let _ = CTX_STACK.try_with(|stack| stack.borrow_mut().push(ctx.cloned()));
         ContextGuard { _priv: () }
     }
 
@@ -188,6 +198,7 @@ impl SpanContext {
         CTX_STACK
             .try_with(|stack| stack.borrow().last().cloned())
             .ok()
+            .flatten()
             .flatten()
     }
 }
@@ -254,9 +265,10 @@ pub enum Stage {
     WindowWait,
     /// Netlist parse, model resolution and cache lookup.
     CacheLookup,
-    /// Graph build and normalisation (a batch's shared time).
+    /// Graph build and normalisation (in a batch, the longest of its
+    /// circuits').
     GraphBuild,
-    /// The forward pass (a batch's shared time).
+    /// The forward pass (in a batch, the longest of its circuits').
     Inference,
     /// A non-predict data-plane op's execution.
     Exec,
@@ -316,7 +328,7 @@ pub struct RequestRecord {
     pub cache_hit: Option<bool>,
     /// `max_v` of the ensemble member that predicted most nets (Alg. 2).
     pub member_max_v: Option<f64>,
-    /// The batch size, when the request shared a forward pass (> 1).
+    /// The batch size, when the request was served in a batch (> 1).
     pub batched: Option<u64>,
     /// Whether the drift monitor flagged the inputs out-of-distribution.
     pub ood: Option<bool>,
@@ -747,6 +759,12 @@ mod tests {
                 let current = SpanContext::current().unwrap();
                 assert_eq!(current.request_ids(), ["req-1", "req-2"]);
                 assert_eq!(current.shard(), Some(0));
+            }
+            {
+                let _hidden = SpanContext::enter_exactly(None);
+                assert!(SpanContext::current().is_none(), "None hides req-1");
+                let _i = SpanContext::enter_exactly(Some(&inner));
+                assert_eq!(SpanContext::current().unwrap().request_ids().len(), 2);
             }
             assert_eq!(SpanContext::current().unwrap().request_ids(), ["req-1"]);
         }

@@ -99,6 +99,11 @@ impl<V> Lru<V> {
         Some(&slot.value)
     }
 
+    /// [`Lru::get`] without marking the entry used.
+    fn peek(&self, model: &str, hash: u64) -> Option<&V> {
+        Some(&self.by_model.get(model)?.get(&hash)?.value)
+    }
+
     /// Stores `value`, evicting the least-recently-used entry when a new
     /// key would exceed `capacity`.
     fn insert(&mut self, model: &str, hash: u64, value: V, tick: u64, capacity: usize) {
@@ -235,6 +240,16 @@ impl PredictionCache {
         drop(inner);
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(Repeat { value, rows })
+    }
+
+    /// Whether [`PredictionCache::get_repeat`] would answer `text` now.
+    /// A peek: it marks nothing used and counts nothing.
+    pub(crate) fn peek_repeat(&self, model: &str, text_hash: u64, text: &str) -> bool {
+        let inner = self.lock();
+        inner
+            .repeats
+            .peek(model, text_hash)
+            .is_some_and(|s| s.text == text && inner.results.peek(model, s.canonical).is_some())
     }
 
     /// Records that `text` (whose [`text_hash`] is `text_hash`)
@@ -446,6 +461,26 @@ mod tests {
         assert!(cache.get_repeat("m", h, "mn o i vss vss nch\n").is_none());
         assert_eq!((cache.hits(), cache.misses()), (1, 0));
         assert_eq!(cache.len(), 1, "len counts payloads only");
+    }
+
+    /// A peek answers exactly when `get_repeat` would, but counts
+    /// nothing and marks nothing used.
+    #[test]
+    fn peek_repeat_mirrors_get_repeat_without_side_effects() {
+        let cache = PredictionCache::new(2);
+        let (a, b) = ("deck a", "deck b");
+        cache.put_repeat("m", text_hash(a), a.to_owned(), 1, rows());
+        assert!(!cache.peek_repeat("m", text_hash(a), a), "no payload yet");
+        cache.put("m", 1, payload(1));
+        cache.put_repeat("m", text_hash(b), b.to_owned(), 1, rows());
+        assert!(cache.peek_repeat("m", text_hash(a), a));
+        assert!(!cache.peek_repeat("m", text_hash(a), b), "other bytes");
+        assert!(!cache.peek_repeat("other", text_hash(a), a), "model key");
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        // The peeks left `a` the oldest record: a third one evicts it.
+        cache.put_repeat("m", 3, "deck c".to_owned(), 1, rows());
+        assert!(!cache.peek_repeat("m", text_hash(a), a));
+        assert!(cache.peek_repeat("m", text_hash(b), b));
     }
 
     /// The index is bounded by the capacity with LRU eviction, cleared

@@ -54,6 +54,9 @@ pub(super) struct Conn {
     stream: TcpStream,
     /// Unparsed request bytes.
     buf: Vec<u8>,
+    /// JSON-lines: how many leading bytes of `buf` are known to hold no
+    /// `\n`, so each tick searches only the bytes that arrived since.
+    scanned: usize,
     /// Encoded response bytes not yet written.
     out: Vec<u8>,
     /// How much of `out` has been written.
@@ -79,6 +82,7 @@ impl Conn {
         Self {
             stream,
             buf: Vec::new(),
+            scanned: 0,
             out: Vec::new(),
             out_pos: 0,
             proto: Proto::Undecided,
@@ -293,43 +297,47 @@ impl Conn {
             match self.proto {
                 Proto::Undecided => unreachable!("sniffed above"),
                 Proto::JsonLines => {
-                    let Some(nl) = self.buf.iter().position(|&b| b == b'\n') else {
-                        if self.buf.len() > ctx.config.max_line {
-                            self.push_json_line(error_response(
-                                &Value::Null,
-                                &ServeError::new(
-                                    ErrorCode::BadRequest,
-                                    format!(
-                                        "request line exceeds the {} byte limit",
-                                        ctx.config.max_line
-                                    ),
-                                ),
-                            ));
-                            self.buf.clear();
-                            self.close_after_flush = true;
-                            *active = true;
-                        }
-                        return true;
-                    };
-                    let line: Vec<u8> = self.buf.drain(..=nl).collect();
-                    let mut line = &line[..line.len() - 1];
+                    let max_line = ctx.config.max_line;
+                    let nl = find_newline(&self.buf, &mut self.scanned);
+                    // The line so far, without a CRLF's `\r`: it is
+                    // refused past the limit whether or not its newline
+                    // has arrived.
+                    let mut line = &self.buf[..nl.unwrap_or(self.buf.len())];
                     if line.last() == Some(&b'\r') {
                         line = &line[..line.len() - 1];
                     }
+                    if line.len() > max_line {
+                        self.push_json_line(error_response(
+                            &Value::Null,
+                            &ServeError::new(
+                                ErrorCode::BadRequest,
+                                format!("request line exceeds the {max_line} byte limit"),
+                            ),
+                        ));
+                        self.buf.clear();
+                        self.close_after_flush = true;
+                        *active = true;
+                        return true;
+                    }
+                    let Some(nl) = nl else {
+                        return true;
+                    };
                     // A line that is not UTF-8 cannot be a request:
                     // drop the connection.
                     let Ok(text) = std::str::from_utf8(line) else {
                         return false;
                     };
-                    if text.trim().is_empty() {
-                        continue;
-                    }
-                    match ctx.service.submit_line(text) {
-                        Submitted::Done(envelope) => {
+                    // Parsed straight from `buf`; the line leaves it after.
+                    let submitted =
+                        (!text.trim().is_empty()).then(|| ctx.service.submit_line(text));
+                    self.buf.drain(..=nl);
+                    match submitted {
+                        None => {}
+                        Some(Submitted::Done(envelope)) => {
                             self.push_json_line(envelope);
                             *active = true;
                         }
-                        Submitted::Pending(call) => {
+                        Some(Submitted::Pending(call)) => {
                             self.inflight = Some((call, RespKind::JsonLine));
                         }
                     }
@@ -616,11 +624,42 @@ fn envelope_status(envelope: &Envelope) -> (u16, &'static str, &'static [&'stati
     }
 }
 
+/// The offset of the first `\n` in `buf`, searching only past
+/// `*scanned`, the prefix earlier calls found free of one. Leaves
+/// `*scanned` at 0 when a newline is found (its line is about to leave
+/// the buffer), else at `buf.len()`, so a line arriving over many reads
+/// is searched once in total.
+fn find_newline(buf: &[u8], scanned: &mut usize) -> Option<usize> {
+    let found = buf[*scanned..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map(|at| *scanned + at);
+    *scanned = if found.is_some() { 0 } else { buf.len() };
+    found
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::PredictEnvelope;
     use serde_json::json;
+
+    /// A line delivered one byte per read is searched once in total,
+    /// and its newline found where it is.
+    #[test]
+    fn newline_search_resumes_where_the_last_read_stopped() {
+        let line = format!("{{\"pad\": \"{}\"}}\n", "y".repeat(4096));
+        let (mut buf, mut scanned, mut searched) = (Vec::new(), 0, 0);
+        let mut found = None;
+        for &byte in line.as_bytes() {
+            buf.push(byte);
+            searched += buf.len() - scanned;
+            found = find_newline(&buf, &mut scanned);
+        }
+        assert_eq!(searched, line.len());
+        assert_eq!(found, Some(line.len() - 1));
+        assert_eq!(scanned, 0, "the next line starts a fresh search");
+    }
 
     #[test]
     fn status_mapping_covers_every_error_code() {

@@ -63,7 +63,8 @@ pub struct GatewayConfig {
     pub max_header: usize,
     /// Largest accepted HTTP body (`Content-Length`); beyond it `413`.
     pub max_body: usize,
-    /// Largest accepted JSON-lines request line; beyond it a
+    /// Largest accepted JSON-lines request line, not counting its `\n`
+    /// or `\r\n`; beyond it, whether or not the newline has arrived, a
     /// `bad_request` error line, then the connection closes.
     pub max_line: usize,
     /// How long a partially-received request may sit without progress

@@ -170,8 +170,9 @@ impl Metrics {
         self.precisions[precision as usize].requests.get()
     }
 
-    /// Records one formed predict batch: `jobs` requests answered by a
-    /// single forward pass (1 = an unbatched lone job). Feeds the
+    /// Records one formed predict batch: `jobs` requests of one model
+    /// answered by one `predict_circuits` call (1 = an unbatched lone
+    /// job). Feeds the
     /// `paragraph_serve_batch_size` histogram and the
     /// `paragraph_serve_batches_formed_total` counter.
     pub fn record_batch(&self, jobs: usize) {
@@ -186,7 +187,8 @@ impl Metrics {
         self.window_admitted.add(jobs);
     }
 
-    /// Predict batches formed so far (every forward pass counts once).
+    /// Predict batches formed so far (every `predict_circuits` call
+    /// counts once).
     pub fn batches_formed(&self) -> u64 {
         self.batches_formed.get()
     }

@@ -33,7 +33,7 @@ use crate::protocol::{
     error_response, malformed_json, ok_response, Envelope, ErrorCode, Op, PredictEnvelope, Request,
     ServeError,
 };
-use crate::registry::{ModelRef, ModelRegistry};
+use crate::registry::{LoadedModels, ModelRef, ModelRegistry};
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -49,9 +49,10 @@ pub struct ServiceConfig {
     pub default_deadline: Duration,
     /// Honour the `debug_panic` op (tests only).
     pub enable_debug_ops: bool,
-    /// How many queued jobs a worker drains per wake-up (min 1). Predict
-    /// jobs in the drained batch that resolve to the same model run as
-    /// one forward pass over their circuits' block-diagonal graph union.
+    /// How many queued jobs a worker drains per wake-up (min 1). The
+    /// predict jobs of a drained batch parse on the runtime pool, and
+    /// those that resolve to the same model run one forward per circuit
+    /// there, each answer equal to the job's lone answer.
     pub max_batch: usize,
     /// Continuous micro-batching admission window. When non-zero, a
     /// worker that picked up a predict job with batching headroom keeps
@@ -792,8 +793,8 @@ fn worker_loop(
     loop {
         // Block for one job, then opportunistically drain whatever else
         // is already queued (up to max_batch) under the same lock, so
-        // co-queued predictions can share a forward pass. Each job is
-        // stamped with the instant it left the queue.
+        // co-queued predictions fan out across the pool together. Each
+        // job is stamped with the instant it left the queue.
         let mut jobs: Vec<(Job, Instant)> = Vec::with_capacity(max_batch);
         {
             let guard = rx.lock().expect("queue lock poisoned");
@@ -809,8 +810,8 @@ fn worker_loop(
             }
             // Continuous micro-batching: with a predict job in hand and
             // batching headroom, keep the receiver open for the
-            // admission window so jobs arriving *now* join this forward
-            // pass instead of waiting a full batch turn. Holding the
+            // admission window so jobs arriving *now* join this batch
+            // instead of waiting a full batch turn. Holding the
             // queue lock while waiting doubles as admit-while-running:
             // other workers block on the lock, so exactly one window
             // collects while earlier batches execute. The window is
@@ -925,12 +926,79 @@ struct PendingPredict {
     ood: bool,
 }
 
-/// Serves a drained batch of predict jobs: per-job parse / model
-/// resolution / cache lookup, then one `predict_circuits` call per
-/// distinct model over the cache misses (one forward pass per model
-/// over their block-diagonal union). Each job's answer equals serving
-/// it alone; a panic inside one model group fails only that group's
-/// jobs.
+/// A predict job's netlist, parsed and flattened, with its raw feature
+/// rows and its canonical cache key.
+struct Parsed {
+    circuit: Circuit,
+    rows: Arc<FeatureRows>,
+    content_hash: u64,
+}
+
+/// Parses and flattens `request`'s netlist and derives its feature rows
+/// and canonical cache key: a job's lookup work that reads no shared
+/// state.
+fn parse_predict(request: &Request) -> Result<Parsed, ServeError> {
+    let circuit = required_netlist(request)?;
+    let rows = Arc::new(FeatureRows::new(&paragraph::raw_feature_rows(&circuit)));
+    let content_hash = fnv1a(&write_flat_spice(&circuit));
+    Ok(Parsed {
+        circuit,
+        rows,
+        content_hash,
+    })
+}
+
+/// Runs [`parse_predict`] on the runtime pool for the jobs of a batch
+/// that the exact-repeat index would not answer (found by a peek, which
+/// marks nothing used and counts nothing), each job under exactly its
+/// own span context. Slot `i` holds job `i`'s parse. A lone job, or a
+/// batch with fewer than two such jobs, gets no slots and parses in
+/// [`predict_many`]'s in-order pass.
+fn parse_misses(
+    jobs: &[(Job, Stages)],
+    snapshot: &LoadedModels,
+    cache: &PredictionCache,
+) -> Vec<Option<Result<Parsed, ServeError>>> {
+    if jobs.len() < 2 {
+        return Vec::new();
+    }
+    let misses: Vec<usize> = (0..jobs.len())
+        .filter(|&i| {
+            let request = &jobs[i].0.request;
+            match (
+                snapshot.resolve(request.model.as_deref()),
+                request.netlist.as_deref(),
+            ) {
+                (Ok((key, _)), Some(text)) => !cache.peek_repeat(&key, text_hash(text), text),
+                _ => true,
+            }
+        })
+        .collect();
+    if misses.len() < 2 {
+        return Vec::new();
+    }
+    let parses = paragraph::runtime::global().map(&misses, |_, &i| {
+        let job = &jobs[i].0;
+        let _ctx = SpanContext::enter_exactly(job.ctx.as_ref());
+        parse_predict(&job.request)
+    });
+    let mut slots: Vec<Option<Result<Parsed, ServeError>>> =
+        std::iter::repeat_with(|| None).take(jobs.len()).collect();
+    for (i, parsed) in misses.into_iter().zip(parses) {
+        slots[i] = Some(parsed);
+    }
+    slots
+}
+
+/// Serves a drained batch of predict jobs. The netlists the exact-repeat
+/// index will not answer parse on the runtime pool ([`parse_misses`]).
+/// Then, in job order, each job resolves its model, tries the repeat
+/// index, feeds the drift monitor and reads and writes the cache, in
+/// the order a sequence of lone jobs would. Last, one
+/// `predict_circuits` call per distinct model serves the cache misses,
+/// each circuit its own forward on the pool. Each job's answer equals
+/// serving it alone; a panic inside one model group fails only that
+/// group's jobs.
 fn predict_many(
     jobs: Vec<(Job, Stages)>,
     registry: &Arc<ModelRegistry>,
@@ -939,11 +1007,14 @@ fn predict_many(
     drift: &Arc<DriftMonitor>,
 ) {
     let snapshot = registry.current();
+    // A job's lookup stage runs from here to the end of its own lookup:
+    // a batched job's parse overlapped its siblings' on the pool.
+    let started = Instant::now();
+    let mut parsed = parse_misses(&jobs, &snapshot, cache);
     let mut groups: std::collections::BTreeMap<String, (ModelRef, Vec<PendingPredict>)> =
         std::collections::BTreeMap::new();
-    for (mut job, mut stages) in jobs {
+    for (i, (mut job, mut stages)) in jobs.into_iter().enumerate() {
         let ctx_guard = job.ctx.as_ref().map(SpanContext::enter);
-        let lookup_started = Instant::now();
         let resolved = snapshot.resolve(job.request.model.as_deref());
         // An exact repeat answers from the index without a parse. Only a
         // resolved model can have recorded one; anything else takes the
@@ -955,7 +1026,7 @@ fn predict_many(
                 if let Some(repeat) = cache.get_repeat(key, hash, text) {
                     let ood = drift.observe_rows(&repeat.rows);
                     let key = resolved.map(|(key, _)| key).expect("matched Ok");
-                    stages.set(Stage::CacheLookup, lookup_us(lookup_started));
+                    stages.set(Stage::CacheLookup, lookup_us(started));
                     drop(ctx_guard);
                     answer_hit(job, stages, key, ood, repeat.value);
                     continue;
@@ -964,8 +1035,16 @@ fn predict_many(
             }
             _ => None,
         };
-        let circuit = match required_netlist(&job.request) {
-            Ok(c) => c,
+        let parsed = match parsed.get_mut(i).and_then(Option::take) {
+            Some(parsed) => parsed,
+            None => parse_predict(&job.request),
+        };
+        let Parsed {
+            circuit,
+            rows,
+            content_hash,
+        } = match parsed {
+            Ok(parsed) => parsed,
             Err(err) => {
                 let response = error_response(&job.request.id, &err);
                 job.answer(response);
@@ -977,7 +1056,6 @@ fn predict_many(
         // watches traffic, not model invocations. The per-request
         // verdict rides along so the tail sampler can retain OOD
         // requests.
-        let rows = Arc::new(FeatureRows::new(&paragraph::raw_feature_rows(&circuit)));
         let ood = drift.observe_rows(&rows);
         let (key, model) = match resolved {
             Ok(resolved) => resolved,
@@ -988,12 +1066,11 @@ fn predict_many(
                 continue;
             }
         };
-        let content_hash = fnv1a(&write_flat_spice(&circuit));
         let hit = cache.get(&key, content_hash);
         if let (Some(hash), Some(text)) = (text_key, job.request.netlist.take()) {
             cache.put_repeat(&key, hash, text, content_hash, rows);
         }
-        stages.set(Stage::CacheLookup, lookup_us(lookup_started));
+        stages.set(Stage::CacheLookup, lookup_us(started));
         drop(ctx_guard);
         if let Some(hit) = hit {
             answer_hit(job, stages, key, ood, hit);
@@ -1020,9 +1097,10 @@ fn predict_many(
         }
         let circuits: Vec<&Circuit> = pending.iter().map(|p| &p.circuit).collect();
         // One batch context covering every member: spans recorded under
-        // it (batch assemble, forward pass) fan out to each member's
-        // trace. Guards are scoped so all spans land before replies go
-        // out and the submitters finalize their traces.
+        // it (batch assemble and the forwards, whichever pool thread ran
+        // them) fan out to each member's trace. Guards are scoped so all
+        // spans land before replies go out and the submitters finalize
+        // their traces.
         let batch_ctx = if pending.iter().any(|p| p.job.ctx.is_some()) {
             let shard = pending
                 .iter()
@@ -1066,7 +1144,8 @@ fn predict_many(
                     };
                     drop(ctx_guard);
                     // A batched job waited for the whole batch, so its
-                    // stages are the batch's shared timings.
+                    // stages are the batch's: its circuits ran at once,
+                    // and each stage is the longest any one spent in it.
                     let mut stages = p.stages;
                     stages.set(Stage::GraphBuild, profile.graph_build_us);
                     stages.set(Stage::Inference, profile.inference_us);

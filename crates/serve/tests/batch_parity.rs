@@ -1,8 +1,11 @@
-//! Batched predict parity: a service draining several queued predict
-//! jobs into one block-diagonal forward pass must answer every request
-//! with exactly the payload an unbatched service produces.
+//! Batched predict parity: when an admission window gathers several
+//! predict jobs into one batch, every request must be answered with
+//! exactly the payload an unbatched service produces, at every
+//! precision: f32, int8 with the calibration table derived at training,
+//! and int8 with none, where each site scales by its live max-abs.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use paragraph::{
     fit_norm, normalize_circuits, FitConfig, GnnKind, Precision, PreparedCircuit, Target,
@@ -20,7 +23,11 @@ const NETLISTS: [&str; 4] = [
     "mp1 q b vdd vdd pch\nmn1 q b vss vss nch\nmp2 w q vdd vdd pch\nmn2 w q vss vss nch\n.end\n",
 ];
 
-fn service(max_batch: usize) -> Arc<Service> {
+/// A service over the two-member GCN ensemble at `precision`, its
+/// members' calibration tables dropped unless `calibrated`. With
+/// `window`, one worker holds a long admission window that closes when
+/// the four requests are in; without, every job runs alone.
+fn service(precision: Precision, calibrated: bool, window: bool) -> Arc<Service> {
     let circuit = parse_spice(NETLISTS[0]).unwrap().flatten().unwrap();
     let mut train = vec![PreparedCircuit::new(
         "seed",
@@ -37,73 +44,92 @@ fn service(max_batch: usize) -> Arc<Service> {
             fit.embed_dim = 4;
             fit.layers = 1;
             let mut model = TargetModel::train(&train, Target::Cap, Some(*max_v), fit, &norm).0;
-            // Bitwise batched-vs-unbatched parity is an f32 contract:
-            // int8 sites the calibration graphs never exercised fall
-            // back to dynamic max-abs scales over the live activation
-            // buffer, which is batch-dependent. Pin f32 so a
-            // process-wide PARAGRAPH_PRECISION override (the quantized
-            // CI job) cannot reroute this test.
-            model.precision = Some(Precision::F32);
+            assert!(model.calibration.is_some(), "training derives a table");
+            // Pinned, so a process-wide PARAGRAPH_PRECISION override
+            // (the quantized CI job) cannot reroute an arm.
+            model.precision = Some(precision);
+            if !calibrated {
+                model.calibration = None;
+            }
             (name.to_string(), model)
         })
         .collect();
     let snapshot = LoadedModels::from_models(members).unwrap();
     let registry = Arc::new(ModelRegistry::from_snapshot(snapshot));
     let config = ServiceConfig {
-        // One worker so co-queued jobs actually drain as one batch;
-        // caching off so every request takes the compute path.
+        // One worker, so the window collects every job; caching off so
+        // every request takes the compute path.
         workers: 1,
         cache_capacity: 0,
-        max_batch,
+        max_batch: if window { NETLISTS.len() } else { 1 },
+        batch_window: if window {
+            Duration::from_secs(5)
+        } else {
+            Duration::ZERO
+        },
         ..ServiceConfig::default()
     };
     Arc::new(Service::new(registry, config))
 }
 
 fn predict_line(id: usize, netlist: &str) -> String {
-    serde_json::to_string(&json!({"op": "predict", "id": id, "netlist": netlist})).unwrap()
+    serde_json::to_string(&json!({"op": "predict", "id": id, "netlist": netlist, "debug": true}))
+        .unwrap()
 }
 
 #[test]
-fn batched_service_matches_unbatched() {
-    let unbatched = service(1);
-    let batched = service(4);
+fn batched_service_matches_unbatched_at_every_precision() {
+    for (precision, calibrated) in [
+        (Precision::F32, true),
+        (Precision::Int8, true),
+        (Precision::Int8, false),
+    ] {
+        let arm = format!("{precision}, calibrated: {calibrated}");
+        let unbatched = service(precision, calibrated, false);
+        let batched = service(precision, calibrated, true);
 
-    // Reference payloads from the unbatched service.
-    let reference: Vec<Value> = NETLISTS
-        .iter()
-        .enumerate()
-        .map(|(i, nl)| {
-            let r: Value =
-                serde_json::from_str(&unbatched.handle_line(&predict_line(i, nl))).unwrap();
-            assert_eq!(r["ok"].as_bool(), Some(true), "{r:?}");
-            r["result"].clone()
-        })
-        .collect();
-
-    // Fire all four at the batched single-worker service concurrently —
-    // jobs queue while the worker is busy and drain as one batch — and
-    // repeat a few rounds to cover different interleavings.
-    for round in 0..4 {
-        let threads: Vec<_> = NETLISTS
+        // Reference payloads from the unbatched service.
+        let reference: Vec<Value> = NETLISTS
             .iter()
             .enumerate()
             .map(|(i, nl)| {
-                let svc = batched.clone();
-                let line = predict_line(round * 10 + i, nl);
-                std::thread::spawn(move || {
-                    let r: Value = serde_json::from_str(&svc.handle_line(&line)).unwrap();
-                    (i, r)
-                })
+                let r: Value =
+                    serde_json::from_str(&unbatched.handle_line(&predict_line(i, nl))).unwrap();
+                assert_eq!(r["ok"].as_bool(), Some(true), "{arm}: {r:?}");
+                assert_eq!(r["debug"]["batched"], Value::Null, "{arm}: {r:?}");
+                r["result"].clone()
             })
             .collect();
-        for t in threads {
-            let (i, r) = t.join().unwrap();
-            assert_eq!(r["ok"].as_bool(), Some(true), "{r:?}");
-            assert_eq!(
-                r["result"], reference[i],
-                "batched response {i} drifted from unbatched"
-            );
+
+        // Fire all four at the windowed service concurrently; the window
+        // gathers them into one batch. A few rounds cover different
+        // arrival orders.
+        for round in 0..3 {
+            let threads: Vec<_> = NETLISTS
+                .iter()
+                .enumerate()
+                .map(|(i, nl)| {
+                    let svc = batched.clone();
+                    let line = predict_line(round * 10 + i, nl);
+                    std::thread::spawn(move || {
+                        let r: Value = serde_json::from_str(&svc.handle_line(&line)).unwrap();
+                        (i, r)
+                    })
+                })
+                .collect();
+            for t in threads {
+                let (i, r) = t.join().unwrap();
+                assert_eq!(r["ok"].as_bool(), Some(true), "{arm}: {r:?}");
+                assert_eq!(
+                    r["debug"]["batched"].as_u64(),
+                    Some(NETLISTS.len() as u64),
+                    "{arm}: request {i} was not in the four-wide batch: {r:?}"
+                );
+                assert_eq!(
+                    r["result"], reference[i],
+                    "{arm}: batched response {i} drifted from unbatched"
+                );
+            }
         }
     }
 }

@@ -1,6 +1,7 @@
-//! Continuous micro-batching: the admission window must merge
-//! concurrent requests into one forward pass, surface its timings and
-//! metrics, never trade a deadline for batch occupancy, and leave the
+//! Continuous micro-batching: the admission window must gather
+//! concurrent requests into one batch, surface its timings and metrics,
+//! never trade a deadline for batch occupancy, carry every member's
+//! trace across the pool threads that run the batch, and leave the
 //! served predictions bit-identical to an unwindowed gateway.
 
 mod common;
@@ -30,10 +31,10 @@ fn debug_predict_line(id: u64, netlist: &str) -> String {
 }
 
 /// Four clients firing together against a single-shard gateway with a
-/// generous window must land in one batched forward pass (the window
-/// closes early at `max_batch`), each response reporting the shared
-/// batch, its `window_wait_us`, `graph_build_us` and `inference_us`
-/// stages, and the ensemble member Algorithm 2 picked.
+/// generous window must land in one batch (the window closes early at
+/// `max_batch`), each response reporting the shared batch, its
+/// `window_wait_us`, `graph_build_us` and `inference_us` stages, and the
+/// ensemble member Algorithm 2 picked.
 #[test]
 fn admission_window_batches_concurrent_requests() {
     let (dir, _ensemble) = build_model_dir("window-batch");
@@ -112,6 +113,65 @@ fn admission_window_batches_concurrent_requests() {
     assert!(formed >= 1, "no batch recorded in {snapshot:?}");
 
     gateway.shutdown();
+}
+
+/// With the trace store on and every request kept, each request served
+/// in a batch has every forward of that batch in its retained trace:
+/// one per circuit and ensemble member, whichever pool thread ran it.
+#[test]
+fn batched_forwards_reach_every_member_trace() {
+    let (dir, ensemble) = build_model_dir("window-spans");
+    let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
+    let service = Service::new(
+        registry,
+        ServiceConfig {
+            workers: 1,
+            max_batch: 4,
+            batch_window: Duration::from_secs(2),
+            cache_capacity: 0,
+            ..ServiceConfig::default()
+        },
+    );
+    let was_enabled = paragraph_obs::store_enabled();
+    paragraph_obs::set_store_enabled(true);
+    let store = paragraph_obs::trace_store();
+    store.set_keep_one_in(1);
+
+    let pending: Vec<_> = (0..4)
+        .map(
+            |i| match service.submit_line(&debug_predict_line(i as u64, &netlist_variant(i))) {
+                Submitted::Pending(call) => call,
+                Submitted::Done(response) => panic!("a predict answered inline: {response:?}"),
+            },
+        )
+        .collect();
+    let responses: Vec<Value> = pending.into_iter().map(|p| service.wait(p)).collect();
+    let forwards = 4 * ensemble.members().len();
+    for (i, response) in responses.iter().enumerate() {
+        assert_eq!(
+            response["debug"]["batched"].as_u64(),
+            Some(4),
+            "request {i} was not in the 4-wide batch: {response:?}"
+        );
+        let request_id = response["debug"]["request_id"]
+            .as_str()
+            .expect("request id");
+        let trace = store
+            .get(request_id)
+            .unwrap_or_else(|| panic!("{request_id} was not retained"));
+        assert_eq!(trace.dropped_spans, 0, "{request_id}");
+        let seen = trace
+            .spans
+            .iter()
+            .filter(|span| span.name == "executor_forward")
+            .count();
+        assert_eq!(
+            seen, forwards,
+            "{request_id} holds {seen} of its batch's {forwards} forwards"
+        );
+    }
+    paragraph_obs::set_store_enabled(was_enabled);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A lone request under a window far longer than its deadline budget

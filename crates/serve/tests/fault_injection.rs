@@ -165,6 +165,33 @@ fn oversized_head_and_body_are_rejected_with_limits_statuses() {
     let v: serde_json::Value = serde_json::from_str(&c.recv_raw()).unwrap();
     assert_eq!(v["error"]["code"].as_str(), Some("bad_request"));
 
+    // A complete line past max_line is refused the same way, unparsed.
+    let mut c = LineClient::connect(handle.addr());
+    let line = format!(
+        "{{\"op\": \"health\", \"id\": 1, \"pad\": \"{}\"}}\n",
+        "y".repeat(2048)
+    );
+    c.writer.write_all(line.as_bytes()).unwrap();
+    let v: serde_json::Value = serde_json::from_str(&c.recv_raw()).unwrap();
+    assert_eq!(v["error"]["code"].as_str(), Some("bad_request"));
+    assert_eq!(
+        v["error"]["message"].as_str(),
+        Some("request line exceeds the 1024 byte limit"),
+        "{v:?}"
+    );
+
+    // A CRLF line of exactly max_line bytes is served: neither the
+    // `\r` nor the `\n` counts toward the limit.
+    let mut c = LineClient::connect(handle.addr());
+    let head = "{\"op\": \"health\", \"id\": \"";
+    let id = "y".repeat(1024 - head.len() - 2);
+    let line = format!("{head}{id}\"}}\r\n");
+    assert_eq!(line.len(), 1024 + 2);
+    c.writer.write_all(line.as_bytes()).unwrap();
+    let v: serde_json::Value = serde_json::from_str(&c.recv_raw()).unwrap();
+    assert_eq!(v["ok"].as_bool(), Some(true), "{v:?}");
+    assert_eq!(v["id"].as_str(), Some(id.as_str()));
+
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -332,3 +332,106 @@ fn repeats_leave_the_drift_monitor_as_parsing_does() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// One windowed batch that mixes an exact repeat, a formatting variant
+/// of a cached deck, fresh decks, a bad netlist and an unknown model
+/// leaves the responses, the drift monitor and the cache counters
+/// exactly as the same lines sent one at a time. No two texts, and no
+/// two fresh circuits, are equal inside the batch: a duplicate misses
+/// inside one batch whichever way the batch is served.
+#[test]
+fn a_batch_leaves_the_state_a_sequence_leaves() {
+    let (dir, _) = build_model_dir("repeat-batch");
+    let wide = wide_deck();
+    let earlier = [predict_line(1, BASE, None), predict_line(2, PORTS_PQ, None)];
+    let batch = [
+        predict_line(10, NETLIST_A, None),              // fresh
+        predict_line(11, BASE, None),                   // exact repeat
+        predict_line(12, "m1 only two\n", None),        // bad netlist
+        predict_line(13, VARIANTS[2], None),            // variant of BASE
+        predict_line(14, &wide, None),                  // fresh, OOD
+        predict_line(15, EDITED, Some("nope")),         // unknown model
+        predict_line(16, PORTS_QP, None),               // variant, other net order
+        predict_line(17, VARIANTS[4], Some("cap_10f")), // fresh under a member
+    ];
+    let service = |window: bool| {
+        let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
+        Service::new(
+            registry,
+            ServiceConfig {
+                workers: 1,
+                max_batch: if window { batch.len() } else { 1 },
+                // Each earlier deck holds the window open alone; the
+                // batch fills it at once.
+                batch_window: if window {
+                    std::time::Duration::from_secs(1)
+                } else {
+                    std::time::Duration::ZERO
+                },
+                ..common::test_service_config()
+            },
+        )
+    };
+    let (sequence, windowed) = (service(false), service(true));
+    for line in &earlier {
+        assert_eq!(call(&sequence, line), call(&windowed, line));
+    }
+
+    let one_at_a_time: Vec<Value> = batch.iter().map(|line| call(&sequence, line)).collect();
+    // Queued in order before the worker's window closes at `max_batch`.
+    let formed = windowed.metrics().batches_formed();
+    let pending: Vec<_> = batch
+        .iter()
+        .map(|line| match windowed.submit_line(line) {
+            Submitted::Pending(pending) => pending,
+            Submitted::Done(response) => panic!("a predict answered inline: {response:?}"),
+        })
+        .collect();
+    let batched: Vec<Value> = pending.into_iter().map(|p| windowed.wait(p)).collect();
+    assert_eq!(
+        windowed.metrics().batches_formed() - formed,
+        2,
+        "one batch: its misses form one ensemble group and one cap_10f group"
+    );
+
+    for (i, (got, want)) in batched.iter().zip(&one_at_a_time).enumerate() {
+        assert_eq!(got, want, "response {i}");
+    }
+    let codes: Vec<Option<&str>> = batched
+        .iter()
+        .map(|r| r["error"]["code"].as_str())
+        .collect();
+    assert_eq!(codes[2], Some("invalid_netlist"));
+    assert_eq!(codes[5], Some("unknown_model"));
+    let cached: Vec<Option<bool>> = batched.iter().map(|r| r["cached"].as_bool()).collect();
+    assert_eq!(
+        cached,
+        [
+            Some(false),
+            Some(true),
+            None,
+            Some(true),
+            Some(false),
+            None,
+            Some(true),
+            Some(false)
+        ]
+    );
+
+    let bits = |z: Vec<(String, f64)>| {
+        z.into_iter()
+            .map(|(name, v)| (name, v.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let (a, b) = (sequence.drift(), windowed.drift());
+    assert_eq!(bits(b.z_scores()), bits(a.z_scores()));
+    assert_eq!(b.ood_requests_total(), a.ood_requests_total());
+    assert!(
+        a.ood_requests_total() > 0,
+        "the wide deck is out of distribution"
+    );
+    assert_eq!(b.ood_fraction().to_bits(), a.ood_fraction().to_bits());
+    let counters = |s: &Service| (s.cache().hits(), s.cache().misses(), s.cache().len());
+    assert_eq!(counters(&windowed), counters(&sequence));
+    let _ = std::fs::remove_dir_all(&dir);
+}
